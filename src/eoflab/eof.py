@@ -3,7 +3,11 @@
 The minimizer searches decompositions of rho through the isometry map: an
 m x m unitary exp(i H) is built from m^2 real parameters, its first rank(rho)
 columns feed `hjw_ensemble`, and the ensemble-average entanglement across the
-requested cut is pushed down by L-BFGS-B with central finite differences.
+requested cut is pushed down by L-BFGS-B.  Each evaluation is one objective
+call, which returns the value with its gradient: the members' gradients are
+chained back through exp(i H) to the parameters.  For the default cost they
+come from the closed-form entropy gradient, so the gradient is exact; a
+custom member cost gets them from central differences in member space.
 Restart 0 starts from the zero parameter vector (the eigen-decomposition),
 optional warm starts follow, and the remaining restarts draw their parameter
 vectors from Gaussian streams seeded by (seed, restart index), so the whole
@@ -29,6 +33,7 @@ from .ensembles import (
     isometry_for_ensemble,
     support_decomposition,
 )
+from .qmat import expm_antihermitian
 from .qstate import (
     EIG_FLOOR,
     DensityMatrix,
@@ -102,6 +107,9 @@ class EofOptions:
     """Knobs for the decomposition search.
 
     ensemble_size "auto" resolves to min(rank^2, 16), never below the rank.
+    gradient_step is the central-difference step in member space, used only
+    when a custom member_cost is searched; the default entropy cost has an
+    exact gradient.
     """
 
     restarts: int = 20
@@ -141,16 +149,17 @@ class EofEstimate:
 
 
 def _params_to_hermitian(x: np.ndarray, m: int) -> np.ndarray:
-    """Map (..., m^2) real parameters to stacked Hermitian matrices."""
-    x = np.asarray(x, dtype=float)
+    """Map m^2 real parameters to a Hermitian matrix.
+
+    x holds the m diagonal entries, then the real parts and then the
+    imaginary parts of the strict upper triangle in row-major order.
+    """
     k = m * (m - 1) // 2
-    h = np.zeros(x.shape[:-1] + (m, m), dtype=np.complex128)
-    if k:
-        iu = np.triu_indices(m, 1)
-        h[..., iu[0], iu[1]] = x[..., m:m + k] + 1j * x[..., m + k:]
-        h = h + np.conj(np.swapaxes(h, -1, -2))
-    rng = np.arange(m)
-    h[..., rng, rng] = x[..., :m]
+    upper = x[m:m + k] + 1j * x[m + k:]
+    h = np.diag(x[:m].astype(np.complex128))
+    iu = np.triu_indices(m, 1)
+    h[iu] = upper
+    h[iu[1], iu[0]] = upper.conj()
     return h
 
 
@@ -162,62 +171,108 @@ def _hermitian_to_params(h: np.ndarray) -> np.ndarray:
     return np.concatenate([np.diagonal(h).real, off.real, off.imag])
 
 
-def _unitaries(h: np.ndarray) -> np.ndarray:
-    """exp(i h) for stacked Hermitian h."""
-    w, v = np.linalg.eigh(h)
-    phase = np.exp(1j * w)
-    return np.einsum("...ij,...j,...kj->...ik", v, phase, v.conj())
-
-
 class _DecompositionObjective:
-    """Batched evaluation of sum_i p_i cost(psi_i) over the isometry chart."""
+    """sum_i p_i cost(psi_i) over the isometry chart, with its exact gradient.
+
+    Calling the objective with a parameter vector x builds U = exp(i H(x))
+    from the eigendecomposition H = V diag(w) V^dagger, forms the member
+    columns raw = basis U[:, :rank]^T (column i is sqrt(p_i) psi_i), and
+    returns the value with its gradient in x.  The gradient starts from the
+    Wirtinger derivative G_raw = dF/d conj(raw), from the entropy closed
+    form or from member-space central differences of a custom cost, and is
+    chained back through raw -> U -> H -> x.
+    """
 
     def __init__(self, rho: DensityMatrix, cut, m: int,
-                 member_cost: Callable[[np.ndarray], np.ndarray] | None):
+                 member_cost: Callable[[np.ndarray], np.ndarray] | None, step: float):
         lam, vecs = support_decomposition(rho)
         self.rank = int(lam.size)
         self.m = m
         self.nparams = m * m
         self.basis = vecs * np.sqrt(lam)
-        self.dims = rho.dims
         self.perm, self.d_left, self.d_right = cut_permutation(rho.dims, cut)
         self.member_cost = member_cost
+        self.step = step
+        self.triu = np.triu_indices(m, 1)
 
     def isometry(self, x: np.ndarray) -> np.ndarray:
-        return _unitaries(_params_to_hermitian(x, self.m))[:, : self.rank]
+        return expm_antihermitian(_params_to_hermitian(x, self.m))[:, : self.rank]
 
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        """Objective for a (B, nparams) stack of parameter vectors."""
-        u = _unitaries(_params_to_hermitian(xs, self.m))[..., :, : self.rank]
-        raw = np.einsum("dj,bij->bdi", self.basis, u)        # (B, D, m) columns
+    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Objective value and its gradient at the parameter vector x."""
+        w, v = np.linalg.eigh(_params_to_hermitian(x, self.m))
+        u = (v * np.exp(1j * w)) @ v.conj().T
+        raw = self.basis @ u[:, : self.rank].T                  # (D, m) columns
         if self.member_cost is None:
-            return self._entropy_values(raw)
-        return self._generic_values(raw)
+            value, g_raw = self._entropy_grad(raw)
+        else:
+            value, g_raw = self._member_difference_grad(raw)
+        return value, self._chain(g_raw, w, v)
 
-    def _entropy_values(self, raw: np.ndarray) -> np.ndarray:
-        b = raw.shape[0]
-        x = raw[:, self.perm, :]
-        x = x.reshape(b, self.d_left, self.d_right, self.m).transpose(0, 3, 1, 2)
-        s = np.linalg.svd(x.reshape(-1, self.d_left, self.d_right), compute_uv=False)
-        lam2 = (s * s).reshape(b, self.m, -1)
+    def _chain(self, g_raw: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Chain dF/d conj(raw) back through U = exp(iH) to the parameters."""
+        m = self.m
+        g_u = np.zeros((m, m), dtype=np.complex128)
+        g_u[:, : self.rank] = (self.basis.conj().T @ g_raw).T
+        # divided differences of exp(i.) at the eigenvalues, in the sinc form
+        # that stays exact for equal or nearly equal eigenvalues
+        half_sum = (w[:, None] + w[None, :]) / 2
+        half_gap = (w[:, None] - w[None, :]) / 2
+        phi = 1j * np.exp(1j * half_sum) * np.sinc(half_gap / np.pi)
+        vh = v.conj().T
+        g_h = v @ (np.conj(phi) * (vh @ g_u @ v)) @ vh
+        upper = g_h[self.triu]
+        lower = g_h.T[self.triu]
+        return 2.0 * np.concatenate([
+            np.diagonal(g_h).real, (upper + lower).real, upper.imag - lower.imag])
+
+    def _entropy_grad(self, raw: np.ndarray) -> tuple[float, np.ndarray]:
+        """Entanglement entropy across the cut and its closed-form gradient.
+
+        For a member X (reshaped across the cut) with M = X X^dagger and
+        p = tr M, the term -tr M log2(M/p) has gradient -log2(M/p) X, taken
+        here from one SVD.  Terms the value drops (mu <= EIG_FLOOR, or
+        p <= 1e-15) get zero weight in the gradient too.
+        """
+        x = raw[self.perm, :].reshape(self.d_left, self.d_right, self.m)
+        x = x.transpose(2, 0, 1)
+        left, s, right = np.linalg.svd(x, full_matrices=False)
+        lam2 = s * s
         p = lam2.sum(axis=-1)
         p_safe = np.where(p > 1e-15, p, 1.0)
-        mu = lam2 / p_safe[..., None]
-        mask = (mu > EIG_FLOOR) & (p[..., None] > 1e-15)
-        terms = np.where(mask, -lam2 * np.log2(np.where(mask, mu, 1.0)), 0.0)
-        return terms.sum(axis=(-2, -1))
+        mu = lam2 / p_safe[:, None]
+        mask = (mu > EIG_FLOOR) & (p[:, None] > 1e-15)
+        log_mu = np.log2(np.where(mask, mu, 1.0))
+        value = float(np.where(mask, -lam2 * log_mu, 0.0).sum())
+        g = -(left * np.where(mask, s * log_mu, 0.0)[:, None, :]) @ right
+        g_raw = np.empty_like(raw)
+        g_raw[self.perm, :] = g.reshape(self.m, -1).T
+        return value, g_raw
 
-    def _generic_values(self, raw: np.ndarray) -> np.ndarray:
-        b, d, m = raw.shape
-        p = np.einsum("bdi,bdi->bi", raw.conj(), raw).real
+    def _member_difference_grad(self, raw: np.ndarray) -> tuple[float, np.ndarray]:
+        """Custom-cost value and its gradient by central differences per member.
+
+        Each member column is stepped by +-step along its 2D real directions,
+        so one call passes m (4D + 1) member vectors to member_cost.
+        """
+        d = raw.shape[0]
+        h = self.step
+        eye = np.eye(d)
+        steps = np.concatenate([np.zeros((1, d)), h * eye, -h * eye,
+                                1j * h * eye, -1j * h * eye])  # (4D+1, D)
+        cols = raw.T[:, None, :] + steps[None, :, :]           # (m, 4D+1, D)
+        p = np.einsum("ksd,ksd->ks", cols.conj(), cols).real
         good = p > 1e-14
         norm = np.sqrt(np.where(good, p, 1.0))
-        members = (raw / norm[:, None, :]).transpose(0, 2, 1).reshape(b * m, d)
+        members = (cols / norm[..., None]).reshape(-1, d)
         fallback = np.zeros(d, dtype=np.complex128)
         fallback[0] = 1.0
         members[~good.reshape(-1)] = fallback
-        costs = np.asarray(self.member_cost(members), dtype=float).reshape(b, m)
-        return np.where(good, p * costs, 0.0).sum(axis=-1)
+        costs = np.asarray(self.member_cost(members), dtype=float).reshape(p.shape)
+        f = np.where(good, p * costs, 0.0)
+        df_re = (f[:, 1: d + 1] - f[:, d + 1: 2 * d + 1]) / (2.0 * h)
+        df_im = (f[:, 2 * d + 1: 3 * d + 1] - f[:, 3 * d + 1:]) / (2.0 * h)
+        return float(f[:, 0].sum()), 0.5 * (df_re + 1j * df_im).T
 
 
 def _complete_to_unitary(u: np.ndarray, m: int) -> np.ndarray:
@@ -271,17 +326,19 @@ def minimize_over_decompositions(
     member_cost None means the default cost, entanglement entropy across
     `cut`.  A custom member_cost receives a (N, dim) stack of normalized
     member vectors in the state's native subsystem order and returns N
-    per-member costs; it must be bounded and continuous for the finite
-    difference gradients to make sense.
+    per-member costs; it must be bounded and continuous, because its
+    gradient is taken by central differences of step `opts.gradient_step`
+    in member space.  The default cost has an exact gradient.  Either way
+    the gradient is chained through exp(iH) to the parameters, so one
+    L-BFGS-B evaluation is one objective call.
     """
     opts = opts if opts is not None else EofOptions()
     cut = tuple(cut)
     lam, _ = support_decomposition(rho)
     rank = int(lam.size)
     m = resolve_ensemble_size(rank, opts.ensemble_size, [len(e) for e in warm_starts])
-    obj = _DecompositionObjective(rho, cut, m, member_cost)
+    obj = _DecompositionObjective(rho, cut, m, member_cost, opts.gradient_step)
     n = obj.nparams
-    delta = opts.gradient_step
 
     starts: list[np.ndarray] = [np.zeros(n)]
     for e in warm_starts:
@@ -295,20 +352,16 @@ def minimize_over_decompositions(
     best_x = starts[0]
     best_run = (False, 0)
     restart_values: list[float] = []
-    offsets = np.zeros((2 * n + 1, n))
-    offsets[1: n + 1] = delta * np.eye(n)
-    offsets[n + 1:] = -delta * np.eye(n)
 
     for x0 in starts:
         run_best = [math.inf, x0]
 
         def fun_and_grad(x, _run_best=run_best):
-            fs = obj.values(x[None, :] + offsets)
-            if fs[0] < _run_best[0]:
-                _run_best[0] = float(fs[0])
+            value, grad = obj(x)
+            if value < _run_best[0]:
+                _run_best[0] = value
                 _run_best[1] = x.copy()
-            grad = (fs[1: n + 1] - fs[n + 1:]) / (2.0 * delta)
-            return float(fs[0]), grad
+            return value, grad
 
         res = scipy.optimize.minimize(
             fun_and_grad,

@@ -744,10 +744,12 @@ def check_weak_additivity(pairs: int = 10, seed: int = 0, slack: float = 2e-3,
         rng = np.random.default_rng([seed, k])
         rho_a = _rand_density(rng, dims, rank)
         rho_b = _rand_density(rng, dims, rank)
-        ef_a, _ = _pair_eof(rho_a, (), factor_opts)
-        ef_b, _ = _pair_eof(rho_b, (), factor_opts)
         est_a = eof_minimize(rho_a, (0,), factor_opts)
         est_b = eof_minimize(rho_b, (0,), factor_opts)
+        if dims == (2, 2):
+            ef_a, ef_b = eof_wootters_2q(rho_a), eof_wootters_2q(rho_b)
+        else:
+            ef_a, ef_b = est_a.value, est_b.value
         warm = product_ensemble(est_a.best_ensemble, est_b.best_ensemble)
         est = eof_minimize(tensor(rho_a, rho_b), (0, 2), opts, warm_starts=[warm])
         gap = ef_a + ef_b - est.value

@@ -283,3 +283,76 @@ class TestGenericObjective:
         generic = minimize_over_decompositions(rho, [0], opts, member_cost=left_entropy)
         default = eof_minimize(rho, [0], opts)
         assert generic.value == pytest.approx(default.value, abs=1e-6)
+
+
+def _difference_gradient(obj, x, h=1e-6):
+    """Parameter-space central differences of the objective value."""
+    grad = np.zeros_like(x)
+    for k in range(x.size):
+        e = np.zeros_like(x)
+        e[k] = h
+        grad[k] = (obj(x + e)[0] - obj(x - e)[0]) / (2 * h)
+    return grad
+
+
+def _gradient_points(n, seed):
+    return [np.zeros(n), np.random.default_rng(seed).standard_normal(n)]
+
+
+class TestObjectiveGradient:
+    @pytest.mark.parametrize("dims, rank, m", [
+        ((2, 2), 2, 8), ((2, 2), 3, 8), ((2, 3), 3, 9), ((2, 2), 1, 1)])
+    def test_entropy_gradient_matches_differences(self, dims, rank, m):
+        from eoflab.eof import _DecompositionObjective
+
+        rho = random_density_dims(dims, rank, [50, rank, m])
+        obj = _DecompositionObjective(rho, (0,), m, None, 1e-5)
+        for x in _gradient_points(m * m, 51):   # x = 0: all eigenvalues of H equal
+            value, grad = obj(x)
+            assert grad.shape == x.shape
+            np.testing.assert_allclose(grad, _difference_gradient(obj, x), rtol=0, atol=1e-6)
+
+    def test_entropy_gradient_on_product_pair_cut(self):
+        from eoflab.eof import _DecompositionObjective
+
+        rho = tensor(two_qubit(52, rank=2), two_qubit(53, rank=2))
+        obj = _DecompositionObjective(rho, (0, 2), 16, None, 1e-5)
+        for x in _gradient_points(256, 54):
+            np.testing.assert_allclose(obj(x)[1], _difference_gradient(obj, x),
+                                       rtol=0, atol=1e-6)
+
+    def test_value_is_ensemble_average(self):
+        from eoflab.eof import _DecompositionObjective
+
+        rho = two_qubit(55, rank=3)
+        obj = _DecompositionObjective(rho, (0,), 6, None, 1e-5)
+        x = np.random.default_rng(56).standard_normal(36)
+        e = hjw_ensemble(rho, obj.isometry(x))
+        assert obj(x)[0] == pytest.approx(ensemble_average_entanglement(e, [0]), abs=1e-12)
+
+    def test_custom_cost_gradient_matches_differences(self):
+        from eoflab.eof import _DecompositionObjective
+        from eoflab.probes import _chain_cost
+
+        rho = tensor(two_qubit(57, rank=2), two_qubit(58, rank=2))
+        obj = _DecompositionObjective(rho, (0, 2), 16, _chain_cost(False, False), 1e-5)
+        for x in _gradient_points(256, 59):
+            np.testing.assert_allclose(obj(x)[1], _difference_gradient(obj, x),
+                                       rtol=0, atol=1e-6)
+
+    def test_custom_cost_work_per_call(self):
+        from eoflab.eof import _DecompositionObjective
+        from eoflab.probes import _chain_cost
+
+        rho = tensor(two_qubit(60, rank=2), two_qubit(61, rank=2))
+        cost = _chain_cost(False, False)
+        passed = []
+
+        def counting_cost(vectors):
+            passed.append(len(vectors))
+            return cost(vectors)
+
+        m, d = 16, 16
+        obj = _DecompositionObjective(rho, (0, 2), m, counting_cost, 1e-5)
+        obj(np.random.default_rng(62).standard_normal(m * m))
+        assert sum(passed) <= m * (4 * d + 1)

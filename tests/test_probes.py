@@ -14,6 +14,7 @@ from eoflab import (
     CheckReport,
     DensityMatrix,
     EofOptions,
+    eof_minimize,
     FactorEig,
     ProbeResult,
     as_factor_eig,
@@ -32,17 +33,20 @@ from eoflab import (
     probe_question1,
     probe_question2,
     product_decomposition_members,
+    product_ensemble,
     random_pure,
     reevaluate_argmin,
     relation_chain_check,
     spectral_entropy,
     ssa_gap,
     superadditivity_probe,
+    tensor,
     two_block_spec,
     werner_state,
 )
 from eoflab.probes import (
     _eof_wootters_batch,
+    _pair_eof,
     _rand_density,
     factor_eig_to_payload,
     payload_to_factor_eig,
@@ -377,6 +381,37 @@ class TestWeakAdditivity:
         assert rep.min_gap >= -2e-3
         for entry in rep.per_sample:
             assert entry["eof_product"] <= entry["eof_a"] + entry["eof_b"] + 2e-3
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_report_matches_searching_each_factor_twice(self, dims):
+        # the check once ran _pair_eof and then the same factor search again
+        # for the warm start; searching once must not change a byte
+        opts = EofOptions(restarts=1, ensemble_size=4, seed=21)
+        factor_opts = EofOptions(restarts=2, seed=22)
+        per = []
+        for k in range(2):
+            rng = np.random.default_rng([3, k])
+            rho_a = _rand_density(rng, dims, 2)
+            rho_b = _rand_density(rng, dims, 2)
+            ef_a, _ = _pair_eof(rho_a, (), factor_opts)
+            ef_b, _ = _pair_eof(rho_b, (), factor_opts)
+            est_a = eof_minimize(rho_a, (0,), factor_opts)
+            est_b = eof_minimize(rho_b, (0,), factor_opts)
+            warm = product_ensemble(est_a.best_ensemble, est_b.best_ensemble)
+            est = eof_minimize(tensor(rho_a, rho_b), (0, 2), opts, warm_starts=[warm])
+            per.append({"sample": k, "eof_a": float(ef_a), "eof_b": float(ef_b),
+                        "eof_product": float(est.value),
+                        "gap": float(ef_a + ef_b - est.value)})
+        gaps = [entry["gap"] for entry in per]
+        expected = CheckReport(
+            name="weak-additivity", semantics="inequality", samples=2, seed=3,
+            tol=None, slack=2e-3, min_gap=float(min(gaps)), max_abs_residual=None,
+            passed=min(gaps) >= -2e-3, per_sample=tuple(per),
+            extra={"max_gap": float(max(0.0, *gaps))},
+        )
+        rep = check_weak_additivity(pairs=2, seed=3, opts=opts,
+                                    factor_opts=factor_opts, dims=dims)
+        assert rep.to_json() == expected.to_json()
 
 
 class TestSuperadditivityProbe:
