@@ -4,10 +4,13 @@ The minimizer searches decompositions of rho through the isometry map: an
 m x m unitary exp(i H) is built from m^2 real parameters, its first rank(rho)
 columns feed `hjw_ensemble`, and the ensemble-average entanglement across the
 requested cut is pushed down by L-BFGS-B.  Each evaluation is one objective
-call, which returns the value with its gradient: the members' gradients are
-chained back through exp(i H) to the parameters.  For the default cost they
-come from the closed-form entropy gradient, so the gradient is exact; a
-custom member cost gets them from central differences in member space.
+call, which returns the value with its exact gradient: a member cost maps
+the raw member columns sqrt(p_i) psi_i to the value and its Wirtinger
+gradient, which is chained back through exp(i H) to the parameters.  The
+member costs here are the entanglement entropy across a cut
+(`entropy_value_grad`) and the two-qubit Wootters EoF of a pair reduction
+(`wootters_value_grad`), whose concurrence and gradient come from one
+batched kernel, `concurrence_factors`.
 Restart 0 starts from the zero parameter vector (the eigen-decomposition),
 optional warm starts follow, and the remaining restarts draw their parameter
 vectors from Gaussian streams seeded by (seed, restart index), so the whole
@@ -44,6 +47,9 @@ from .qstate import (
 
 AUTO_ENSEMBLE_CAP = 16
 
+# raw (D, m) member columns -> (value, dF/d conj(raw))
+MemberCost = Callable[[np.ndarray], tuple[float, np.ndarray]]
+
 
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2(1-x)."""
@@ -71,35 +77,127 @@ def ensemble_average_entanglement(e: Ensemble, cut: Iterable[int]) -> float:
     return float(sum(w * eof_pure(s, cut) for w, s in e))
 
 
-_SIGMA_YY = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ]
-)
+# sigma_y (x) sigma_y maps |00>, |01>, |10>, |11> to -|11>, |10>, |01>, -|00>:
+# a row reversal with these signs, exact in floating point
+_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+_TINY = np.finfo(float).tiny
+_LN2 = math.log(2.0)
+
+
+def concurrence_factors(x: np.ndarray, gradient: bool = False):
+    """Two-qubit concurrence of rho = X X^dagger for a (N, 4, k) stack of X.
+
+    C = max(0, s1 - s2 - s3 - s4) from the singular values s of the complex
+    symmetric tau = X^T (Y x Y) X, which are the square roots of the
+    eigenvalues of rho (Y x Y) rho* (Y x Y); X is not normalized, so C
+    scales with tr rho.  With gradient=True, also returns the Wirtinger
+    gradient dC/d conj(X) = (Y x Y) conj(X) (W + W^T) / 2 with
+    W = U diag(1, -1, ..., -1) V^dagger from the same SVD tau = U S V^dagger,
+    and the zero subgradient where C clips to 0.
+    """
+    flip = x[..., ::-1, :] * _YY_SIGNS[:, None]                 # (Y x Y) X
+    tau = np.swapaxes(x, -1, -2) @ flip
+    if not gradient:
+        s = np.linalg.svd(tau, compute_uv=False)
+        return np.maximum(0.0, s[..., 0] - s[..., 1:].sum(axis=-1))
+    u, s, vh = np.linalg.svd(tau)
+    conc = s[..., 0] - s[..., 1:].sum(axis=-1)
+    signs = -np.ones(s.shape[-1])
+    signs[0] = 1.0
+    w = (u * signs) @ vh
+    grad = 0.5 * flip.conj() @ (w + np.swapaxes(w, -1, -2))
+    grad[conc <= 0.0] = 0.0
+    return np.maximum(conc, 0.0), grad
+
+
+def _eof_from_concurrence(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E(c) = h((1 + sqrt(1 - c^2)) / 2) and dE/dc for concurrences c >= 0.
+
+    With r = sqrt(1 - c^2), x = (1 + r) / 2 and y = 1 - x = c^2 / (4 x),
+    both entropy terms stay accurate for small c, and
+    dE/dc = c artanh(r) / (r ln 2) = c (ln x - ln y) / (2 r ln 2) stays
+    finite as c -> 0 (where it tends to 0) and as c -> 1 (where it tends to
+    1 / ln 2, the value taken at r = 0).
+    """
+    c = np.minimum(c, 1.0)                  # rounding can put C/p a hair above 1
+    r = np.sqrt((1.0 - c) * (1.0 + c))
+    x = (1.0 + r) / 2.0
+    y = c * c / (4.0 * x)
+    log_x = np.log1p(-y)
+    log_y = np.log(np.maximum(y, _TINY))     # y * log_y = 0 wherever y = 0
+    value = (0.0 - x * log_x - y * log_y) / _LN2        # 0.0 - keeps E(0) = +0.0
+    at_one = r == 0.0                       # c = 1, where artanh(r) / r -> 1
+    ratio = (log_x - log_y + at_one) / (2.0 * r + at_one)
+    return value, c * ratio / _LN2
 
 
 def concurrence_2q(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence from the spin-flip spectrum.
-
-    The square roots of the eigenvalues of rho (Y x Y) rho* (Y x Y) are taken
-    as the singular values of sqrt(rho) (Y x Y) sqrt(rho)*, which keeps the
-    computation Hermitian throughout.
-    """
+    """Two-qubit concurrence, from the factor X = V sqrt(w) of rho's eigh."""
     if rho.dims != (2, 2):
         raise ValueError(f"two-qubit closed form needs dims (2, 2), got {rho.dims}")
     w, v = np.linalg.eigh((rho.mat + rho.mat.conj().T) / 2)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    sq = np.linalg.svd(sqrt_rho @ _SIGMA_YY @ sqrt_rho.conj(), compute_uv=False)
-    return float(max(0.0, sq[0] - sq[1] - sq[2] - sq[3]))
+    return float(concurrence_factors(v * np.sqrt(np.maximum(w, 0.0))))
 
 
 def eof_wootters_2q(rho: DensityMatrix) -> float:
     """Exact two-qubit EoF via the concurrence closed form."""
-    c = concurrence_2q(rho)
-    return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+    return float(_eof_from_concurrence(concurrence_2q(rho))[0])
+
+
+def entropy_value_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """sum_i p_i S(psi_i) over a (m, d_left, d_right) stack, and its gradient.
+
+    Member i is X_i = sqrt(p_i) psi_i reshaped across a cut.  With
+    M = X X^dagger and p = tr M, the term -tr M log2(M/p) has the Wirtinger
+    gradient -log2(M/p) X, taken here from one SVD.  Terms the value drops
+    (mu <= EIG_FLOOR, or p <= 1e-15) get zero weight in the gradient too.
+    """
+    left, s, right = np.linalg.svd(x, full_matrices=False)
+    lam2 = s * s
+    p = lam2.sum(axis=-1)
+    p_safe = np.where(p > 1e-15, p, 1.0)
+    mu = lam2 / p_safe[:, None]
+    mask = (mu > EIG_FLOOR) & (p[:, None] > 1e-15)
+    log_mu = np.log2(np.where(mask, mu, 1.0))
+    value = float(np.where(mask, -lam2 * log_mu, 0.0).sum())
+    return value, -(left * np.where(mask, s * log_mu, 0.0)[:, None, :]) @ right
+
+
+def wootters_value_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """sum_i p_i E_f(rho_i) over a (m, 4, k) stack, and its gradient.
+
+    Member i is a factor X_i of its unnormalized two-qubit reduction
+    rho_i = X_i X_i^dagger with p = tr rho_i.  The term f = p E(c) with
+    c = C/p has the Wirtinger gradient E(c) X + E'(c) (dC/d conj(X) - c X),
+    which is zero wherever C clips to 0.  Members with p <= 1e-15 are given
+    c = 0, hence zero value and gradient.
+    """
+    conc, dconc = concurrence_factors(x, gradient=True)
+    p = np.einsum("nij,nij->n", x.conj(), x).real
+    live = p > 1e-15
+    c = np.where(live, conc / np.where(live, p, 1.0), 0.0)
+    e, de = _eof_from_concurrence(c)
+    grad = e[:, None, None] * x + de[:, None, None] * (dconc - c[:, None, None] * x)
+    return float((p * e).sum()), grad
+
+
+def cut_member_cost(dims: Sequence[int], cut, value_grad=entropy_value_grad) -> MemberCost:
+    """Member cost of `value_grad` applied to each member reshaped across the cut.
+
+    The returned cost maps the raw (D, m) member columns sqrt(p_i) psi_i, in
+    the native subsystem order of `dims`, to (value, dF/d conj(raw)).
+    """
+    perm, d_left, d_right = cut_permutation(dims, cut)
+
+    def cost(raw: np.ndarray) -> tuple[float, np.ndarray]:
+        m = raw.shape[1]
+        x = raw[perm, :].reshape(d_left, d_right, m).transpose(2, 0, 1)
+        value, g = value_grad(x)
+        g_raw = np.empty_like(raw)
+        g_raw[perm, :] = g.reshape(m, -1).T
+        return value, g_raw
+
+    return cost
 
 
 @dataclass
@@ -107,15 +205,13 @@ class EofOptions:
     """Knobs for the decomposition search.
 
     ensemble_size "auto" resolves to min(rank^2, 16), never below the rank.
-    gradient_step is the central-difference step in member space, used only
-    when a custom member_cost is searched; the default entropy cost has an
-    exact gradient.
+    No option selects how gradients are taken: every member cost supplies
+    its own exact gradient (see minimize_over_decompositions).
     """
 
     restarts: int = 20
     max_iterations: int = 500
     ensemble_size: int | str = "auto"
-    gradient_step: float = 1e-5
     convergence_tol: float = 1e-7
     seed: int = 0
 
@@ -124,8 +220,8 @@ class EofOptions:
             raise ValueError("restarts must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.gradient_step <= 0 or self.convergence_tol <= 0:
-            raise ValueError("gradient_step and convergence_tol must be positive")
+        if self.convergence_tol <= 0:
+            raise ValueError("convergence_tol must be positive")
         if self.ensemble_size != "auto":
             self.ensemble_size = int(self.ensemble_size)
             if self.ensemble_size < 1:
@@ -177,22 +273,18 @@ class _DecompositionObjective:
     Calling the objective with a parameter vector x builds U = exp(i H(x))
     from the eigendecomposition H = V diag(w) V^dagger, forms the member
     columns raw = basis U[:, :rank]^T (column i is sqrt(p_i) psi_i), and
-    returns the value with its gradient in x.  The gradient starts from the
-    Wirtinger derivative G_raw = dF/d conj(raw), from the entropy closed
-    form or from member-space central differences of a custom cost, and is
+    returns the value with its gradient in x.  The member cost returns the
+    value with the Wirtinger derivative G_raw = dF/d conj(raw), which is
     chained back through raw -> U -> H -> x.
     """
 
-    def __init__(self, rho: DensityMatrix, cut, m: int,
-                 member_cost: Callable[[np.ndarray], np.ndarray] | None, step: float):
+    def __init__(self, rho: DensityMatrix, cut, m: int, member_cost: MemberCost | None = None):
         lam, vecs = support_decomposition(rho)
         self.rank = int(lam.size)
         self.m = m
         self.nparams = m * m
         self.basis = vecs * np.sqrt(lam)
-        self.perm, self.d_left, self.d_right = cut_permutation(rho.dims, cut)
-        self.member_cost = member_cost
-        self.step = step
+        self.cost = member_cost if member_cost is not None else cut_member_cost(rho.dims, cut)
         self.triu = np.triu_indices(m, 1)
 
     def isometry(self, x: np.ndarray) -> np.ndarray:
@@ -203,10 +295,7 @@ class _DecompositionObjective:
         w, v = np.linalg.eigh(_params_to_hermitian(x, self.m))
         u = (v * np.exp(1j * w)) @ v.conj().T
         raw = self.basis @ u[:, : self.rank].T                  # (D, m) columns
-        if self.member_cost is None:
-            value, g_raw = self._entropy_grad(raw)
-        else:
-            value, g_raw = self._member_difference_grad(raw)
+        value, g_raw = self.cost(raw)
         return value, self._chain(g_raw, w, v)
 
     def _chain(self, g_raw: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -225,54 +314,6 @@ class _DecompositionObjective:
         lower = g_h.T[self.triu]
         return 2.0 * np.concatenate([
             np.diagonal(g_h).real, (upper + lower).real, upper.imag - lower.imag])
-
-    def _entropy_grad(self, raw: np.ndarray) -> tuple[float, np.ndarray]:
-        """Entanglement entropy across the cut and its closed-form gradient.
-
-        For a member X (reshaped across the cut) with M = X X^dagger and
-        p = tr M, the term -tr M log2(M/p) has gradient -log2(M/p) X, taken
-        here from one SVD.  Terms the value drops (mu <= EIG_FLOOR, or
-        p <= 1e-15) get zero weight in the gradient too.
-        """
-        x = raw[self.perm, :].reshape(self.d_left, self.d_right, self.m)
-        x = x.transpose(2, 0, 1)
-        left, s, right = np.linalg.svd(x, full_matrices=False)
-        lam2 = s * s
-        p = lam2.sum(axis=-1)
-        p_safe = np.where(p > 1e-15, p, 1.0)
-        mu = lam2 / p_safe[:, None]
-        mask = (mu > EIG_FLOOR) & (p[:, None] > 1e-15)
-        log_mu = np.log2(np.where(mask, mu, 1.0))
-        value = float(np.where(mask, -lam2 * log_mu, 0.0).sum())
-        g = -(left * np.where(mask, s * log_mu, 0.0)[:, None, :]) @ right
-        g_raw = np.empty_like(raw)
-        g_raw[self.perm, :] = g.reshape(self.m, -1).T
-        return value, g_raw
-
-    def _member_difference_grad(self, raw: np.ndarray) -> tuple[float, np.ndarray]:
-        """Custom-cost value and its gradient by central differences per member.
-
-        Each member column is stepped by +-step along its 2D real directions,
-        so one call passes m (4D + 1) member vectors to member_cost.
-        """
-        d = raw.shape[0]
-        h = self.step
-        eye = np.eye(d)
-        steps = np.concatenate([np.zeros((1, d)), h * eye, -h * eye,
-                                1j * h * eye, -1j * h * eye])  # (4D+1, D)
-        cols = raw.T[:, None, :] + steps[None, :, :]           # (m, 4D+1, D)
-        p = np.einsum("ksd,ksd->ks", cols.conj(), cols).real
-        good = p > 1e-14
-        norm = np.sqrt(np.where(good, p, 1.0))
-        members = (cols / norm[..., None]).reshape(-1, d)
-        fallback = np.zeros(d, dtype=np.complex128)
-        fallback[0] = 1.0
-        members[~good.reshape(-1)] = fallback
-        costs = np.asarray(self.member_cost(members), dtype=float).reshape(p.shape)
-        f = np.where(good, p * costs, 0.0)
-        df_re = (f[:, 1: d + 1] - f[:, d + 1: 2 * d + 1]) / (2.0 * h)
-        df_im = (f[:, 2 * d + 1: 3 * d + 1] - f[:, 3 * d + 1:]) / (2.0 * h)
-        return float(f[:, 0].sum()), 0.5 * (df_re + 1j * df_im).T
 
 
 def _complete_to_unitary(u: np.ndarray, m: int) -> np.ndarray:
@@ -318,26 +359,27 @@ def minimize_over_decompositions(
     rho: DensityMatrix,
     cut,
     opts: EofOptions | None = None,
-    member_cost: Callable[[np.ndarray], np.ndarray] | None = None,
+    member_cost: MemberCost | None = None,
     warm_starts: Sequence[Ensemble] = (),
 ) -> EofEstimate:
     """Minimize sum_i p_i cost(psi_i) over decompositions of rho.
 
     member_cost None means the default cost, entanglement entropy across
-    `cut`.  A custom member_cost receives a (N, dim) stack of normalized
-    member vectors in the state's native subsystem order and returns N
-    per-member costs; it must be bounded and continuous, because its
-    gradient is taken by central differences of step `opts.gradient_step`
-    in member space.  The default cost has an exact gradient.  Either way
-    the gradient is chained through exp(iH) to the parameters, so one
-    L-BFGS-B evaluation is one objective call.
+    `cut` (`cut_member_cost(rho.dims, cut)`).  A custom member_cost receives
+    the raw (D, m) member columns v_i = sqrt(p_i) psi_i in the state's
+    native subsystem order and returns the value sum_i p_i c(psi_i) with
+    its Wirtinger gradient dF/d conj(v), a (D, m) array; `cut_member_cost`
+    builds such costs from `entropy_value_grad` and `wootters_value_grad`.
+    The gradient is chained through exp(iH) to the parameters, so one
+    L-BFGS-B evaluation is one objective call, which calls the member cost
+    once.
     """
     opts = opts if opts is not None else EofOptions()
     cut = tuple(cut)
     lam, _ = support_decomposition(rho)
     rank = int(lam.size)
     m = resolve_ensemble_size(rank, opts.ensemble_size, [len(e) for e in warm_starts])
-    obj = _DecompositionObjective(rho, cut, m, member_cost, opts.gradient_step)
+    obj = _DecompositionObjective(rho, cut, m, member_cost)
     n = obj.nparams
 
     starts: list[np.ndarray] = [np.zeros(n)]

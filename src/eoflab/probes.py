@@ -15,7 +15,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,15 +29,17 @@ from .ensembles import (
 )
 from .eof import (
     EofOptions,
-    _SIGMA_YY,
+    MemberCost,
+    cut_member_cost,
     ensemble_average_entanglement,
+    entropy_value_grad,
     eof_minimize,
     eof_wootters_2q,
     minimize_over_decompositions,
+    wootters_value_grad,
 )
 from .qmat import ShapeError, as_cmatrix
 from .qstate import (
-    EIG_FLOOR,
     DensityMatrix,
     NormalizationError,
     PureState,
@@ -954,47 +956,19 @@ def reevaluate_argmin(payload: dict, opts: EofOptions | None = None) -> float:
 # ---------------------------------------------------------------------------
 # four-way consistency chain for products of two-qubit states
 
-def _entropy_batch(rhos: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh((rhos + np.conj(np.swapaxes(rhos, -1, -2))) / 2)
-    w = np.clip(w, 0.0, None)
-    mask = w > EIG_FLOOR
-    return -np.where(mask, w * np.log2(np.where(mask, w, 1.0)), 0.0).sum(axis=-1)
+def _chain_cost(left_eof: bool, right_eof: bool) -> MemberCost:
+    """S_A or E_f(AB), plus S_A' or E_f(A'B'), of members on parties (A, B, A', B')."""
+    dims = (2, 2, 2, 2)
+    left = (cut_member_cost(dims, (0, 1), wootters_value_grad) if left_eof
+            else cut_member_cost(dims, (0,), entropy_value_grad))
+    right = (cut_member_cost(dims, (2, 3), wootters_value_grad) if right_eof
+             else cut_member_cost(dims, (2,), entropy_value_grad))
 
+    def cost(raw: np.ndarray) -> tuple[float, np.ndarray]:
+        left_value, left_grad = left(raw)
+        right_value, right_grad = right(raw)
+        return left_value + right_value, left_grad + right_grad
 
-def _binary_entropy_batch(x: np.ndarray) -> np.ndarray:
-    x = np.clip(x, 0.0, 1.0)
-    out = np.zeros_like(x)
-    for part in (x, 1.0 - x):
-        mask = part > EIG_FLOOR
-        out -= np.where(mask, part * np.log2(np.where(mask, part, 1.0)), 0.0)
-    return out
-
-
-def _eof_wootters_batch(rhos: np.ndarray) -> np.ndarray:
-    """Closed-form two-qubit EoF for a (N, 4, 4) stack of density matrices."""
-    flipped = _SIGMA_YY @ np.conj(rhos) @ _SIGMA_YY
-    ev = np.linalg.eigvals(rhos @ flipped)
-    sq = np.sqrt(np.clip(ev.real, 0.0, None))
-    sq.sort(axis=-1)
-    conc = np.clip(2.0 * sq[..., -1] - sq.sum(axis=-1), 0.0, 1.0)
-    return _binary_entropy_batch((1.0 + np.sqrt(np.clip(1.0 - conc * conc, 0.0, None))) / 2.0)
-
-
-def _chain_cost(left_eof: bool, right_eof: bool) -> Callable[[np.ndarray], np.ndarray]:
-    def cost(vectors: np.ndarray) -> np.ndarray:
-        t = vectors.reshape(-1, 2, 2, 2, 2)
-        c = np.conj(t)
-        if left_eof:
-            rho = np.einsum("nabcd,nefcd->nabef", t, c).reshape(-1, 4, 4)
-            left = _eof_wootters_batch(rho)
-        else:
-            left = _entropy_batch(np.einsum("nabcd,nebcd->nae", t, c))
-        if right_eof:
-            rho = np.einsum("nabcd,nabef->ncdef", t, c).reshape(-1, 4, 4)
-            right = _eof_wootters_batch(rho)
-        else:
-            right = _entropy_batch(np.einsum("nabcd,nabed->nce", t, c))
-        return left + right
     return cost
 
 

@@ -124,6 +124,20 @@ class TestWootters:
         with pytest.raises(ValueError):
             eof_wootters_2q(random_density_dims((3, 3), 2, 11))
 
+    def test_kernel_matches_pure_closed_form(self):
+        # |psi> = a|00> + b|01> + c|10> + d|11> has concurrence 2|ad - bc|
+        from eoflab.eof import _eof_from_concurrence, concurrence_factors
+
+        rng = np.random.default_rng(12)
+        psi = rng.standard_normal((64, 4)) + 1j * rng.standard_normal((64, 4))
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        closed = 2 * np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2])
+        conc = concurrence_factors(psi[:, :, None])
+        np.testing.assert_allclose(conc, closed, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_eof_from_concurrence(conc)[0],
+                                   [binary_entropy((1 + math.sqrt(1 - c * c)) / 2)
+                                    for c in closed], rtol=0, atol=1e-12)
+
 
 class TestBinaryEntropy:
     def test_values(self):
@@ -139,7 +153,6 @@ class TestEofOptions:
         opts = EofOptions()
         assert opts.restarts == 20
         assert opts.ensemble_size == "auto"
-        assert opts.gradient_step == 1e-5
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -147,7 +160,7 @@ class TestEofOptions:
         with pytest.raises(ValueError):
             EofOptions(ensemble_size=0)
         with pytest.raises(ValueError):
-            EofOptions(gradient_step=0.0)
+            EofOptions(convergence_tol=0.0)
 
     def test_auto_rule(self):
         from eoflab.eof import resolve_ensemble_size
@@ -269,15 +282,21 @@ class TestGenericObjective:
 
         rho = two_qubit(40)
 
-        def left_entropy(vectors):
-            # same cost as the default path, computed the slow way
-            out = []
-            for v in vectors:
-                x = v.reshape(2, 2)
-                w = np.linalg.eigvalsh(x @ x.conj().T)
-                w = w[w > 1e-12]
-                out.append(float(-(w * np.log2(w)).sum()))
-            return np.asarray(out)
+        def left_entropy(raw):
+            # same cost as the default path, computed the slow way: member by
+            # member, with the gradient -log2(M/p) X from an eigendecomposition
+            value, grad = 0.0, np.zeros_like(raw)
+            for i in range(raw.shape[1]):
+                x = raw[:, i].reshape(2, 2)
+                w, v = np.linalg.eigh(x @ x.conj().T)
+                p = w.sum()
+                if p <= 1e-15:
+                    continue
+                keep = w / p > 1e-12
+                log_mu = np.log2(np.where(keep, w / p, 1.0))
+                value -= float((w * log_mu).sum())
+                grad[:, i] = -((v * log_mu) @ v.conj().T @ x).reshape(-1)
+            return value, grad
 
         opts = EofOptions(restarts=3, ensemble_size=6, seed=16)
         generic = minimize_over_decompositions(rho, [0], opts, member_cost=left_entropy)
@@ -306,7 +325,7 @@ class TestObjectiveGradient:
         from eoflab.eof import _DecompositionObjective
 
         rho = random_density_dims(dims, rank, [50, rank, m])
-        obj = _DecompositionObjective(rho, (0,), m, None, 1e-5)
+        obj = _DecompositionObjective(rho, (0,), m)
         for x in _gradient_points(m * m, 51):   # x = 0: all eigenvalues of H equal
             value, grad = obj(x)
             assert grad.shape == x.shape
@@ -316,7 +335,7 @@ class TestObjectiveGradient:
         from eoflab.eof import _DecompositionObjective
 
         rho = tensor(two_qubit(52, rank=2), two_qubit(53, rank=2))
-        obj = _DecompositionObjective(rho, (0, 2), 16, None, 1e-5)
+        obj = _DecompositionObjective(rho, (0, 2), 16)
         for x in _gradient_points(256, 54):
             np.testing.assert_allclose(obj(x)[1], _difference_gradient(obj, x),
                                        rtol=0, atol=1e-6)
@@ -325,34 +344,62 @@ class TestObjectiveGradient:
         from eoflab.eof import _DecompositionObjective
 
         rho = two_qubit(55, rank=3)
-        obj = _DecompositionObjective(rho, (0,), 6, None, 1e-5)
+        obj = _DecompositionObjective(rho, (0,), 6)
         x = np.random.default_rng(56).standard_normal(36)
         e = hjw_ensemble(rho, obj.isometry(x))
         assert obj(x)[0] == pytest.approx(ensemble_average_entanglement(e, [0]), abs=1e-12)
 
-    def test_custom_cost_gradient_matches_differences(self):
+    @pytest.mark.parametrize("left_eof, right_eof", [
+        (False, False), (False, True), (True, False), (True, True)],
+        ids=["entropy+entropy", "entropy+eof", "eof+entropy", "eof+eof"])
+    def test_custom_cost_gradient_matches_differences(self, left_eof, right_eof):
         from eoflab.eof import _DecompositionObjective
         from eoflab.probes import _chain_cost
 
         rho = tensor(two_qubit(57, rank=2), two_qubit(58, rank=2))
-        obj = _DecompositionObjective(rho, (0, 2), 16, _chain_cost(False, False), 1e-5)
+        obj = _DecompositionObjective(rho, (0, 2), 16, _chain_cost(left_eof, right_eof))
         for x in _gradient_points(256, 59):
             np.testing.assert_allclose(obj(x)[1], _difference_gradient(obj, x),
                                        rtol=0, atol=1e-6)
 
-    def test_custom_cost_work_per_call(self):
+    def test_eof_cost_at_concurrence_limits(self):
+        from eoflab.eof import wootters_value_grad
+        from eoflab.probes import _chain_cost
+
+        bell = BELL.vec
+        product = np.kron(random_pure((2,), 63).vec, random_pure((2,), 64).vec)
+        # members on (A, B, A', B'): product x product (C = 0 up to rounding on
+        # both pairs) and Bell x Bell (c = 1 on both), weights 0.3 and 0.7
+        raw = np.stack([math.sqrt(0.3) * np.kron(product, product),
+                        math.sqrt(0.7) * np.kron(bell, bell)], axis=1)
+        value, grad = _chain_cost(True, True)(raw)
+        assert value == pytest.approx(0.7 * 2.0, abs=1e-12)
+        assert np.isfinite(grad).all()
+        np.testing.assert_allclose(grad[:, 0], 0.0, rtol=0, atol=1e-12)
+        # c = 1 is the maximum of c = C/p, so only p moves each pair's p E(c):
+        # its gradient is E(1) X, twice over for the two pairs
+        np.testing.assert_allclose(grad[:, 1], 2 * raw[:, 1], rtol=0, atol=1e-12)
+
+        # the maximally mixed pair clips C = s1 - 3 s1 to exactly 0
+        x = np.stack([np.eye(4) / 2, bell.reshape(4, 1) @ np.ones((1, 4)) / 2])
+        value, grad = wootters_value_grad(x)
+        assert value == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(grad[0], 0.0)
+        np.testing.assert_allclose(grad[1], x[1], rtol=0, atol=1e-12)
+
+    def test_member_cost_called_once_per_call(self):
         from eoflab.eof import _DecompositionObjective
         from eoflab.probes import _chain_cost
 
         rho = tensor(two_qubit(60, rank=2), two_qubit(61, rank=2))
-        cost = _chain_cost(False, False)
+        cost = _chain_cost(True, True)
         passed = []
 
-        def counting_cost(vectors):
-            passed.append(len(vectors))
-            return cost(vectors)
+        def counting_cost(raw):
+            passed.append(raw.shape)
+            return cost(raw)
 
-        m, d = 16, 16
-        obj = _DecompositionObjective(rho, (0, 2), m, counting_cost, 1e-5)
+        m = 16
+        obj = _DecompositionObjective(rho, (0, 2), m, counting_cost)
         obj(np.random.default_rng(62).standard_normal(m * m))
-        assert sum(passed) <= m * (4 * d + 1)
+        assert passed == [(16, m)]

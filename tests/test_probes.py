@@ -45,7 +45,6 @@ from eoflab import (
     werner_state,
 )
 from eoflab.probes import (
-    _eof_wootters_batch,
     _pair_eof,
     _rand_density,
     factor_eig_to_payload,
@@ -497,12 +496,16 @@ class TestQuestionProbes:
 
 
 class TestRelationChain:
-    def test_batched_closed_form_matches_scalar(self):
-        rhos = np.stack([random_density_dims((2, 2), 4, s).mat for s in range(6)])
-        batch = _eof_wootters_batch(rhos)
-        for k in range(6):
-            scalar = eof_wootters_2q(DensityMatrix((2, 2), rhos[k]))
-            assert batch[k] == pytest.approx(scalar, abs=1e-10)
+    @pytest.mark.parametrize("pair", [
+        (werner_state(2, 0.3), werner_state(2, -0.6)),
+        (random_density_dims((2, 2), 2, 70), random_density_dims((2, 2), 2, 71))],
+        ids=["werner", "random-rank-2"])
+    def test_parts_are_upper_bounds(self, pair):
+        # every part is an ensemble average of exact member costs, so it can
+        # only sit above the reference sum of the factor EoFs
+        rep = relation_chain_check(*pair, opts=EofOptions(restarts=2, seed=6))
+        for part in rep.per_sample:
+            assert -1e-10 <= part["residual"] <= 1e-6, part
 
     def test_pure_product_factors(self):
         rep = relation_chain_check(
