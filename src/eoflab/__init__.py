@@ -9,13 +9,8 @@ from .qmat import (
     HermEig,
     ShapeError,
     SizeError,
-    SvdResult,
     SymmetryError,
-    dagger,
-    expm_antihermitian,
     herm_eig,
-    kron,
-    svd,
 )
 from .qstate import (
     DensityMatrix,
@@ -46,7 +41,6 @@ from .ensembles import (
 from .eof import (
     EofEstimate,
     EofOptions,
-    binary_entropy,
     concurrence_2q,
     ensemble_average_entanglement,
     eof_minimize,
@@ -62,7 +56,6 @@ from .statezoo import (
     case1_state,
     case2_factor,
     classical_spec,
-    pure_block_spec,
     random_density,
     random_isometry,
     random_pure,

@@ -22,7 +22,6 @@ from .eof import EofOptions, eof_minimize, eof_pure, eof_wootters_2q
 from .probes import (
     CheckReport,
     ProbeResult,
-    _rand_density,
     case1_suite,
     check_case2,
     check_flagged_identity,
@@ -229,8 +228,8 @@ def _run_verify(name: str, args: argparse.Namespace) -> list[CheckReport]:
     if name == "relation-chain":
         seed = args.seed if args.seed is not None else 0
         rng = np.random.default_rng([seed, 0])
-        rho_a = _rand_density(rng, (2, 2), 2)
-        rho_b = _rand_density(rng, (2, 2), 2)
+        rho_a = random_density_dims((2, 2), 2, rng)
+        rho_b = random_density_dims((2, 2), 2, rng)
         kw = _kwargs(args, {"slack": "slack"})
         return [relation_chain_check(rho_a, rho_b, opts=_eof_options(args), **kw)]
     raise ValueError(f"unknown check {name!r}")

@@ -27,6 +27,7 @@ from .qstate import (
     PureState,
     payload_to_state,
     state_to_payload,
+    tensor_pure,
 )
 
 RANK_TOL = 1e-10
@@ -140,7 +141,7 @@ def product_ensemble(a: Ensemble, b: Ensemble) -> Ensemble:
     for wa, sa in a:
         for wb, sb in b:
             weights.append(wa * wb)
-            states.append(PureState(sa.dims + sb.dims, np.kron(sa.vec, sb.vec)))
+            states.append(tensor_pure(sa, sb))
     return Ensemble(np.asarray(weights), tuple(states))
 
 

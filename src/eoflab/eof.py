@@ -36,13 +36,13 @@ from .ensembles import (
     isometry_for_ensemble,
     support_decomposition,
 )
-from .qmat import expm_antihermitian
 from .qstate import (
     EIG_FLOOR,
     DensityMatrix,
     PureState,
     cut_permutation,
-    eof_cut_entropy,
+    schmidt,
+    spectral_entropy,
 )
 
 AUTO_ENSEMBLE_CAP = 16
@@ -51,24 +51,10 @@ AUTO_ENSEMBLE_CAP = 16
 MemberCost = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2(1-x)."""
-    if not 0.0 <= x <= 1.0:
-        if -1e-12 < x < 1.0 + 1e-12:
-            x = min(max(x, 0.0), 1.0)
-        else:
-            raise ValueError(f"binary_entropy argument {x!r} outside [0, 1]")
-    out = 0.0
-    if x > 0.0:
-        out -= x * math.log2(x)
-    if x < 1.0:
-        out -= (1.0 - x) * math.log2(1.0 - x)
-    return out
-
-
 def eof_pure(psi: PureState, cut: Iterable[int]) -> float:
     """Exact entanglement of a pure state across the cut (marginal entropy)."""
-    return eof_cut_entropy(psi, cut)
+    s = schmidt(psi, cut).coeffs
+    return spectral_entropy(s * s)
 
 
 def ensemble_average_entanglement(e: Ensemble, cut: Iterable[int]) -> float:
@@ -287,13 +273,18 @@ class _DecompositionObjective:
         self.cost = member_cost if member_cost is not None else cut_member_cost(rho.dims, cut)
         self.triu = np.triu_indices(m, 1)
 
+    def _unitary(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """U = exp(i H(x)) = V diag(e^{iw}) V^dagger, with the eigensystem (w, V) of H(x)."""
+        w, v = np.linalg.eigh(_params_to_hermitian(x, self.m))
+        return (v * np.exp(1j * w)) @ v.conj().T, w, v
+
     def isometry(self, x: np.ndarray) -> np.ndarray:
-        return expm_antihermitian(_params_to_hermitian(x, self.m))[:, : self.rank]
+        """The first rank columns of exp(i H(x)), which feed `hjw_ensemble`."""
+        return self._unitary(x)[0][:, : self.rank]
 
     def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective value and its gradient at the parameter vector x."""
-        w, v = np.linalg.eigh(_params_to_hermitian(x, self.m))
-        u = (v * np.exp(1j * w)) @ v.conj().T
+        u, w, v = self._unitary(x)
         raw = self.basis @ u[:, : self.rank].T                  # (D, m) columns
         value, g_raw = self.cost(raw)
         return value, self._chain(g_raw, w, v)

@@ -43,8 +43,8 @@ from .qstate import (
     DensityMatrix,
     NormalizationError,
     PureState,
-    _complex_to_pairs,
-    _pairs_to_complex,
+    complex_to_pairs,
+    pairs_to_complex,
     partial_trace,
     payload_to_state,
     reduced_state,
@@ -58,11 +58,11 @@ from .statezoo import (
     Case1Spec,
     Case2Spec,
     case1_conditional,
-    case1_conditional_col,
     case1_state,
     case2_factor,
-    complex_gaussian,
+    random_density_dims,
     random_isometry,
+    random_pure,
     werner_two_pair,
 )
 
@@ -184,20 +184,10 @@ class ProbeResult(_ReportSerialization):
     _ITEM_FIELD = "per_trial"
 
 
-# ---------------------------------------------------------------------------
-# seeded samplers used inside checks (one generator per sample index)
-
-def _rand_density(rng: np.random.Generator, dims, rank: int) -> DensityMatrix:
-    dims = tuple(int(x) for x in dims)
-    d = math.prod(dims)
-    g = complex_gaussian(rng, (d, int(rank)))
-    m = g @ g.conj().T
-    return DensityMatrix(dims, m / float(np.trace(m).real))
-
-def _rand_pure(rng: np.random.Generator, dims) -> PureState:
-    dims = tuple(int(x) for x in dims)
-    v = complex_gaussian(rng, (math.prod(dims),))
-    return PureState(dims, v / np.linalg.norm(v))
+def _require_count(name: str, value: int) -> None:
+    """A check or search over no samples would pass vacuously; refuse it."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +200,7 @@ def check_flagged_identity(samples: int = 100, dims=(2, 3, 4), members=(2, 3, 4)
     Random mixed-state families over the given dimension and flag-count
     pools; the residual must vanish to working precision every time.
     """
+    _require_count("samples", samples)
     per = []
     worst = 0.0
     for k in range(samples):
@@ -217,7 +208,7 @@ def check_flagged_identity(samples: int = 100, dims=(2, 3, 4), members=(2, 3, 4)
         m = int(rng.choice(members))
         d = int(rng.choice(dims))
         p = rng.dirichlet(np.ones(m))
-        states = [_rand_density(rng, (d,), int(rng.integers(1, d + 1))) for _ in range(m)]
+        states = [random_density_dims((d,), int(rng.integers(1, d + 1)), rng) for _ in range(m)]
         lhs = von_neumann_entropy(flagged_state(p, states))
         rhs = shannon_entropy(p) + sum(
             float(w) * von_neumann_entropy(s) for w, s in zip(p, states)
@@ -248,6 +239,7 @@ def check_strong_concavity(samples: int = 100, dims=(2, 3), members=(2, 3, 4),
     entropy of the other (equality when the averaged slot is constant, or
     when the mixed slot's members are orthogonal flags).
     """
+    _require_count("samples", samples)
     per = []
     worst = math.inf
     for k in range(samples):
@@ -256,8 +248,8 @@ def check_strong_concavity(samples: int = 100, dims=(2, 3), members=(2, 3, 4),
         d1 = int(rng.choice(dims))
         d2 = int(rng.choice(dims))
         p = rng.dirichlet(np.ones(m))
-        first = [_rand_density(rng, (d1,), int(rng.integers(1, d1 + 1))) for _ in range(m)]
-        second = [_rand_density(rng, (d2,), int(rng.integers(1, d2 + 1))) for _ in range(m)]
+        first = [random_density_dims((d1,), int(rng.integers(1, d1 + 1)), rng) for _ in range(m)]
+        second = [random_density_dims((d2,), int(rng.integers(1, d2 + 1)), rng) for _ in range(m)]
         joint = DensityMatrix(
             (d1, d2),
             sum(float(w) * np.kron(a.mat, b.mat) for w, a, b in zip(p, first, second)),
@@ -267,7 +259,7 @@ def check_strong_concavity(samples: int = 100, dims=(2, 3), members=(2, 3, 4),
         s_joint = von_neumann_entropy(joint)
         avg1 = sum(float(w) * von_neumann_entropy(a) for w, a in zip(p, first))
         avg2 = sum(float(w) * von_neumann_entropy(b) for w, b in zip(p, second))
-        pure = [_rand_pure(rng, (d2,)) for _ in range(m)]
+        pure = [random_pure((d2,), rng) for _ in range(m)]
         pure_mix = DensityMatrix(
             (d2,), sum(float(w) * np.outer(s.vec, s.vec.conj()) for w, s in zip(p, pure))
         )
@@ -310,20 +302,21 @@ def check_ssa(samples: int = 100, dims=(2, 2, 2), seed: int = 0,
     combined).  A product family rho_12 (x) rho_3, where SSA is tight, is
     evaluated alongside and its |gap| recorded in extra.
     """
+    _require_count("samples", samples)
     dims = tuple(int(d) for d in dims)
     per = []
     worst = math.inf
     for k in range(samples):
         rng = np.random.default_rng([seed, k])
-        psi = _rand_pure(rng, dims + (math.prod(dims),))
+        psi = random_pure(dims + (math.prod(dims),), rng)
         gap = ssa_gap(reduced_state(psi, (0, 1, 2)))
         worst = min(worst, gap)
         per.append({"sample": k, "gap": float(gap)})
     equality = 0.0
     for k in range(10):
         rng = np.random.default_rng([seed, 10_000 + k])
-        front = _rand_density(rng, dims[:2], int(rng.integers(1, dims[0] * dims[1] + 1)))
-        back = _rand_density(rng, dims[2:], int(rng.integers(1, dims[2] + 1)))
+        front = random_density_dims(dims[:2], int(rng.integers(1, dims[0] * dims[1] + 1)), rng)
+        back = random_density_dims(dims[2:], int(rng.integers(1, dims[2] + 1)), rng)
         prod = DensityMatrix(dims, np.kron(front.mat, back.mat))
         equality = max(equality, abs(ssa_gap(prod)))
     return CheckReport(
@@ -373,7 +366,8 @@ def check_case1(spec: Case1Spec, opts: EofOptions | None = None,
 
     cond_rows = [(float(w), case1_conditional(spec, a))
                  for a, w in enumerate(rows) if w > 1e-14]
-    cond_cols = [(float(w), case1_conditional_col(spec, b))
+    transposed = Case1Spec(spec.weights.T)
+    cond_cols = [(float(w), case1_conditional(transposed, b))
                  for b, w in enumerate(cols) if w > 1e-14]
     avg_rows = sum(w * von_neumann_entropy(reduced_state(c, (0,))) for w, c in cond_rows)
     avg_cols = sum(w * von_neumann_entropy(reduced_state(c, (0,))) for w, c in cond_cols)
@@ -423,6 +417,7 @@ def case1_suite(samples: int = 20, shapes=((2, 2), (2, 3), (3, 2), (3, 3)),
     both EoF terms zero).  The rest draw Dirichlet weight matrices over the
     allowed shapes.
     """
+    _require_count("samples", samples)
     shapes = tuple(tuple(int(x) for x in s) for s in shapes)
     specs: list[Case1Spec] = [
         Case1Spec(np.full((2, 2), 0.25)),
@@ -537,14 +532,14 @@ def factor_eig_to_payload(fe: FactorEig) -> dict:
     return {
         "dims": [int(d) for d in fe.dims],
         "weights": [float(w) for w in fe.weights],
-        "vectors": _complex_to_pairs(fe.vectors.reshape(-1)),
+        "vectors": complex_to_pairs(fe.vectors.reshape(-1)),
     }
 
 
 def payload_to_factor_eig(payload: dict) -> FactorEig:
     dims = tuple(int(d) for d in payload["dims"])
     w = np.asarray(payload["weights"], dtype=float)
-    v = _pairs_to_complex(payload["vectors"]).reshape(dims[0] * dims[1], w.size)
+    v = pairs_to_complex(payload["vectors"]).reshape(dims[0] * dims[1], w.size)
     return FactorEig(dims, w, v)
 
 
@@ -666,6 +661,7 @@ def check_case2(spec_a: Case2Spec, spec_b: Case2Spec, opts: EofOptions | None = 
     sum of the factor EoFs, each factor warm-started from its block
     ensemble, which is exactly optimal for this family.
     """
+    _require_count("decomposition_samples", decomposition_samples)
     fa = factor_eig_from_case2(spec_a)
     fb = factor_eig_from_case2(spec_b)
     per = []
@@ -734,6 +730,7 @@ def check_weak_additivity(pairs: int = 10, seed: int = 0, slack: float = 2e-3,
     -slack.  A product value clearly *below* the sum would be evidence
     against additivity itself; the largest such surplus is reported.
     """
+    _require_count("pairs", pairs)
     dims = tuple(int(d) for d in dims)
     if opts is None:
         opts = EofOptions(restarts=4, seed=21)
@@ -744,8 +741,8 @@ def check_weak_additivity(pairs: int = 10, seed: int = 0, slack: float = 2e-3,
     surplus = 0.0
     for k in range(pairs):
         rng = np.random.default_rng([seed, k])
-        rho_a = _rand_density(rng, dims, rank)
-        rho_b = _rand_density(rng, dims, rank)
+        rho_a = random_density_dims(dims, rank, rng)
+        rho_b = random_density_dims(dims, rank, rng)
         est_a = eof_minimize(rho_a, (0,), factor_opts)
         est_b = eof_minimize(rho_b, (0,), factor_opts)
         if dims == (2, 2):
@@ -800,6 +797,7 @@ def superadditivity_probe(source: str = "random", trials: int = 100, seed: int =
     theorem), "werner" walks decomposition members of the two-pair view of
     the d = 4 collective-symmetry state at flip expectation `phi`.
     """
+    _require_count("trials", trials)
     if source not in ("random", "case1", "werner"):
         raise ValueError(f"unknown source {source!r}")
     rho_w = werner_two_pair(phi) if source == "werner" else None
@@ -811,7 +809,7 @@ def superadditivity_probe(source: str = "random", trials: int = 100, seed: int =
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         if source == "random":
-            candidates = [_rand_pure(rng, (2, 2, 2, 2))]
+            candidates = [random_pure((2, 2, 2, 2), rng)]
         elif source == "case1":
             w = rng.dirichlet(np.ones(4)).reshape(2, 2)
             candidates = [case1_state(Case1Spec(w))]
@@ -849,6 +847,7 @@ def superadditivity_probe(source: str = "random", trials: int = 100, seed: int =
 def _question_probe(name: str, key: str, factor_a, factor_b, trials: int,
                     members: int, seed: int, slack: float, dims, rank: int,
                     track_implication: bool) -> ProbeResult:
+    _require_count("trials", trials)
     fixed_a = None if factor_a is None else as_factor_eig(factor_a)
     fixed_b = None if factor_b is None else as_factor_eig(factor_b)
     per = []
@@ -859,9 +858,9 @@ def _question_probe(name: str, key: str, factor_a, factor_b, trials: int,
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         fa = fixed_a if fixed_a is not None else factor_eig_from_density(
-            _rand_density(rng, dims, rank))
+            random_density_dims(dims, rank, rng))
         fb = fixed_b if fixed_b is not None else factor_eig_from_density(
-            _rand_density(rng, dims, rank))
+            random_density_dims(dims, rank, rng))
         n = fa.count * fb.count
         m = max(int(members), n)
         iso = random_isometry(m, n, rng)
@@ -883,7 +882,7 @@ def _question_probe(name: str, key: str, factor_a, factor_b, trials: int,
                 "factor_a": factor_eig_to_payload(fa),
                 "factor_b": factor_eig_to_payload(fb),
                 "isometry": {"shape": [int(m), int(n)],
-                             "data": _complex_to_pairs(iso.reshape(-1))},
+                             "data": complex_to_pairs(iso.reshape(-1))},
             }
     extra = {
         "members": int(members), "dims": [int(d) for d in dims], "rank": int(rank),
@@ -944,7 +943,7 @@ def reevaluate_argmin(payload: dict, opts: EofOptions | None = None) -> float:
         fa = payload_to_factor_eig(payload["factor_a"])
         fb = payload_to_factor_eig(payload["factor_b"])
         shape = payload["isometry"]["shape"]
-        iso = _pairs_to_complex(payload["isometry"]["data"]).reshape(shape)
+        iso = pairs_to_complex(payload["isometry"]["data"]).reshape(shape)
         idx = int(payload["member"])
         for d in product_decomposition_members(fa, fb, iso):
             if d["index"] == idx:

@@ -1,7 +1,10 @@
-"""Dense complex matrix kernel: products, decompositions, unitary exponentials.
+"""Dense complex matrix helpers: coercion, Hermitian checks, eigensystems.
 
-Everything downstream moves through these few wrappers so that conventions
-(eigenvalue ordering, Hermitization, size guards) are fixed in one place.
+`as_cmatrix` validates a matrix, `hermitianize` and `herm_defect` project
+onto and measure Hermitian symmetry, and `herm_eig` gives the deterministic
+eigensystem (non-increasing eigenvalues, canonical phases) that the
+ensemble map is built on.  The error classes here are shared by every
+module.  Hot loops elsewhere call numpy directly.
 """
 
 from __future__ import annotations
@@ -33,14 +36,6 @@ class HermEig(NamedTuple):
     eigenvectors: np.ndarray
 
 
-class SvdResult(NamedTuple):
-    """Singular value decomposition a = u @ diag(s) @ v.conj().T."""
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-
 def as_cmatrix(a) -> np.ndarray:
     """Coerce to a 2-d complex array, rejecting non-finite entries."""
     m = np.asarray(a, dtype=np.complex128)
@@ -49,22 +44,6 @@ def as_cmatrix(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
-
-
-def kron(a, b, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """Kronecker product with a guard on the total dimension."""
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > max_dim:
-        raise SizeError(f"kron result {rows}x{cols} exceeds max dimension {max_dim}")
-    return np.kron(a, b)
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_cmatrix(a).conj().T
 
 
 def hermitianize(a) -> np.ndarray:
@@ -103,21 +82,3 @@ def herm_eig(a, tol: float = HERM_TOL) -> HermEig:
         if np.abs(pivot) > 0:
             v[:, k] = col * (np.abs(pivot) / pivot)
     return HermEig(w, v)
-
-
-def svd(a) -> SvdResult:
-    """Singular value decomposition, singular values non-increasing."""
-    a = as_cmatrix(a)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return SvdResult(u, s, vh.conj().T)
-
-
-def expm_antihermitian(h, tol: float = HERM_TOL) -> np.ndarray:
-    """exp(i*h) for Hermitian h, via the eigendecomposition; result unitary."""
-    h = as_cmatrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise ShapeError(f"expm_antihermitian needs a square matrix, got {h.shape}")
-    if herm_defect(h) > tol:
-        raise SymmetryError(f"generator is not Hermitian within {tol:g}")
-    w, v = np.linalg.eigh(hermitianize(h))
-    return (v * np.exp(1j * w)) @ v.conj().T

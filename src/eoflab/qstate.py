@@ -223,12 +223,6 @@ def schmidt(psi: PureState, cut: Iterable[int]) -> SchmidtDecomposition:
     return SchmidtDecomposition(s[keep].copy(), u[:, keep].copy(), vh[keep, :].T.copy())
 
 
-def eof_cut_entropy(psi: PureState, cut: Iterable[int]) -> float:
-    """Entropy of the left-block reduction; the pure-state entanglement."""
-    s = schmidt(psi, cut).coeffs
-    return spectral_entropy(s * s)
-
-
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Tensor product state; subsystem lists concatenate."""
     dims = a.dims + b.dims
@@ -248,12 +242,14 @@ def tensor_pure(a: PureState, b: PureState) -> PureState:
 # data is row-major over the matrix (density) or the vector (pure)
 
 
-def _complex_to_pairs(z: np.ndarray) -> list[list[float]]:
+def complex_to_pairs(z: np.ndarray) -> list[list[float]]:
+    """Flatten a complex array (row-major) to [re, im] float pairs."""
     flat = np.asarray(z, dtype=np.complex128).reshape(-1)
     return [[float(c.real), float(c.imag)] for c in flat]
 
 
-def _pairs_to_complex(pairs) -> np.ndarray:
+def pairs_to_complex(pairs) -> np.ndarray:
+    """Inverse of complex_to_pairs, as a flat complex vector."""
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("data must be a list of [re, im] pairs")
@@ -263,9 +259,9 @@ def _pairs_to_complex(pairs) -> np.ndarray:
 def state_to_payload(state: DensityMatrix | PureState) -> dict:
     """JSON-ready dict for a state, full float precision."""
     if isinstance(state, DensityMatrix):
-        return {"dims": list(state.dims), "kind": "density", "data": _complex_to_pairs(state.mat)}
+        return {"dims": list(state.dims), "kind": "density", "data": complex_to_pairs(state.mat)}
     if isinstance(state, PureState):
-        return {"dims": list(state.dims), "kind": "pure", "data": _complex_to_pairs(state.vec)}
+        return {"dims": list(state.dims), "kind": "pure", "data": complex_to_pairs(state.vec)}
     raise TypeError(f"not a state: {type(state).__name__}")
 
 
@@ -274,7 +270,7 @@ def payload_to_state(payload: dict) -> DensityMatrix | PureState:
     try:
         dims = tuple(int(d) for d in payload["dims"])
         kind = payload["kind"]
-        data = _pairs_to_complex(payload["data"])
+        data = pairs_to_complex(payload["data"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state payload: {exc}") from exc
     d = math.prod(dims) if dims else 0

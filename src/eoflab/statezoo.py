@@ -1,7 +1,8 @@
 """State families used throughout the checks, plus seeded random samplers.
 
 All sampling goes through numpy's default_rng (PCG64); seeds are taken
-verbatim, so equal seeds reproduce equal states bit for bit.
+verbatim, so equal seeds reproduce equal states bit for bit.  A Generator
+passed as the seed is used as is, so successive draws continue its stream.
 """
 
 from __future__ import annotations
@@ -77,19 +78,6 @@ def case1_conditional(spec: Case1Spec, row: int) -> PureState:
     for b in range(c):
         vec[b, b] = math.sqrt(w[row, b] / lam)
     return PureState((c, c), vec.reshape(-1))
-
-
-def case1_conditional_col(spec: Case1Spec, col: int) -> PureState:
-    """Normalized first-pair state paired with column index `col`."""
-    w = spec.weights
-    lam = float(w[:, col].sum())
-    if lam <= 0:
-        raise ValueError(f"column {col} carries no weight")
-    r = w.shape[0]
-    vec = np.zeros((r, r), dtype=np.complex128)
-    for a in range(r):
-        vec[a, a] = math.sqrt(w[a, col] / lam)
-    return PureState((r, r), vec.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -204,12 +192,6 @@ def classical_spec(weights: Sequence[float]) -> Case2Spec:
     return Case2Spec(w.size, w.size, blocks)
 
 
-def pure_block_spec(amplitudes, d_a: int, d_b: int) -> Case2Spec:
-    """Single-block spec: the factor is the pure state with these amplitudes."""
-    amp = np.asarray(amplitudes, dtype=np.complex128)
-    return Case2Spec(d_a, d_b, (Case2Block(1.0, amp, (0, d_a), (0, d_b)),))
-
-
 def swap_operator(d: int) -> np.ndarray:
     """Flip operator F |i>|j> = |j>|i> on d (x) d."""
     f = np.zeros((d * d, d * d))
@@ -255,20 +237,20 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
-def random_density(d: int, rank: int, seed) -> DensityMatrix:
-    """G G† / Tr with G a d x rank seeded complex Gaussian matrix."""
+def random_density_dims(dims: Sequence[int], rank: int, seed) -> DensityMatrix:
+    """G G† / Tr on the given grid, G a prod(dims) x rank seeded complex Gaussian."""
+    dims = tuple(int(x) for x in dims)
+    d = math.prod(dims)
     if not 1 <= rank <= d:
         raise ValueError(f"rank {rank} outside 1..{d}")
     g = complex_gaussian(np.random.default_rng(seed), (d, rank))
     mat = g @ g.conj().T
-    return DensityMatrix((d,), mat / mat.trace().real)
+    return DensityMatrix(dims, mat / mat.trace().real)
 
 
-def random_density_dims(dims: Sequence[int], rank: int, seed) -> DensityMatrix:
-    """random_density with an explicit subsystem grid."""
-    dims = tuple(int(x) for x in dims)
-    flat = random_density(math.prod(dims), rank, seed)
-    return DensityMatrix(dims, flat.mat)
+def random_density(d: int, rank: int, seed) -> DensityMatrix:
+    """random_density_dims on a single d-level system."""
+    return random_density_dims((d,), rank, seed)
 
 
 def random_pure(dims: Sequence[int], seed) -> PureState:

@@ -168,6 +168,25 @@ class TestVerify:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "ssa", "--samples", "0"),
+    ("verify", "flagged", "--samples", "-3"),
+    ("verify", "strong-concavity", "--samples", "0"),
+    ("verify", "case1", "--samples", "0"),
+    ("verify", "case2", "--decomposition-samples", "0"),
+    ("verify", "weak-additivity", "--pairs", "0"),
+    ("verify", "all", "--samples", "0"),
+    ("probe", "question1", "--trials", "0"),
+    ("probe", "question2", "--trials", "0"),
+    ("probe", "superadditivity", "--trials", "0"),
+], ids=" ".join)
+def test_count_below_one_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be >= 1" in err
+
+
 class TestProbe:
     def test_structured_superadditivity_clean(self, capsys):
         code, out, err = run_json(capsys, "probe", "superadditivity",
@@ -182,6 +201,12 @@ class TestProbe:
         assert out["violation_found"] is True
         assert out["argmin"]["relation"] == "question2"
         assert "VIOLATION" in err
+
+    def test_rank_above_dimension_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "probe", "question1", "--dims", "2,2", "--rank", "5")
+        assert code == 2
+        assert out == ""
+        assert "rank 5 outside 1..4" in err
 
     def test_seeded_runs_are_identical(self, capsys):
         _, out1, _ = run(capsys, "probe", "question1", "--trials", "5",

@@ -11,7 +11,6 @@ from eoflab import (
     Ensemble,
     EofOptions,
     PureState,
-    binary_entropy,
     case1_state,
     concurrence_2q,
     ensemble_average_entanglement,
@@ -23,6 +22,7 @@ from eoflab import (
     partial_trace,
     product_ensemble,
     random_pure,
+    spectral_entropy,
     tensor,
     von_neumann_entropy,
     werner_state,
@@ -134,18 +134,10 @@ class TestWootters:
         closed = 2 * np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2])
         conc = concurrence_factors(psi[:, :, None])
         np.testing.assert_allclose(conc, closed, rtol=0, atol=1e-12)
+        halves = [(1 + math.sqrt(1 - c * c)) / 2 for c in closed]
         np.testing.assert_allclose(_eof_from_concurrence(conc)[0],
-                                   [binary_entropy((1 + math.sqrt(1 - c * c)) / 2)
-                                    for c in closed], rtol=0, atol=1e-12)
-
-
-class TestBinaryEntropy:
-    def test_values(self):
-        assert binary_entropy(0.5) == pytest.approx(1.0)
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
-        with pytest.raises(ValueError):
-            binary_entropy(1.2)
+                                   [spectral_entropy([x, 1 - x], floor=0.0) for x in halves],
+                                   rtol=0, atol=1e-12)
 
 
 class TestEofOptions:
@@ -403,3 +395,22 @@ class TestObjectiveGradient:
         obj = _DecompositionObjective(rho, (0, 2), m, counting_cost)
         obj(np.random.default_rng(62).standard_normal(m * m))
         assert passed == [(16, m)]
+
+
+class TestObjectiveExponential:
+    """The objective's single exp(i H(x)) route, against scipy's expm."""
+
+    @pytest.mark.parametrize("dims, rank, m", [
+        ((2, 2), 2, 8), ((2, 3), 3, 9), ((2, 2, 2, 2), 4, 16)])
+    def test_isometry_is_leading_columns_of_expm(self, dims, rank, m):
+        import scipy.linalg
+
+        from eoflab.eof import _DecompositionObjective, _params_to_hermitian
+
+        rho = random_density_dims(dims, rank, [70, m])
+        obj = _DecompositionObjective(rho, (0,), m)
+        for x in _gradient_points(m * m, 71):
+            u = obj.isometry(x)
+            want = scipy.linalg.expm(1j * _params_to_hermitian(x, m))[:, :rank]
+            np.testing.assert_allclose(u, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(rank), rtol=0, atol=1e-12)

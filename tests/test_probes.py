@@ -46,7 +46,6 @@ from eoflab import (
 )
 from eoflab.probes import (
     _pair_eof,
-    _rand_density,
     factor_eig_to_payload,
     payload_to_factor_eig,
 )
@@ -62,7 +61,7 @@ def entangled_pure(theta):
 
 def random_factor(seed):
     rng = np.random.default_rng(seed)
-    return factor_eig_from_density(_rand_density(rng, (2, 2), 2))
+    return factor_eig_from_density(random_density_dims((2, 2), 2, rng))
 
 
 @functools.cache
@@ -193,6 +192,26 @@ class TestEntropyChecks:
     def test_ssa_gap_positive_on_generic_state(self):
         psi = random_pure((2, 2, 2, 8), 5)
         assert ssa_gap(reduced_state(psi, (0, 1, 2))) > 1e-3
+
+
+@pytest.mark.parametrize("entry, kwargs", [
+    pytest.param(check_flagged_identity, {"samples": 0}, id="flagged-0"),
+    pytest.param(check_flagged_identity, {"samples": -3}, id="flagged-negative"),
+    pytest.param(check_strong_concavity, {"samples": 0}, id="strong-concavity"),
+    pytest.param(check_ssa, {"samples": 0}, id="ssa"),
+    pytest.param(case1_suite, {"samples": 0}, id="case1-suite"),
+    pytest.param(functools.partial(check_case2, classical_spec([0.5, 0.5]),
+                                   classical_spec([0.5, 0.5])),
+                 {"decomposition_samples": 0}, id="case2"),
+    pytest.param(check_weak_additivity, {"pairs": 0}, id="weak-additivity"),
+    pytest.param(superadditivity_probe, {"trials": 0}, id="superadditivity"),
+    pytest.param(probe_question1, {"trials": 0}, id="question1"),
+    pytest.param(probe_question2, {"trials": 0}, id="question2"),
+])
+def test_count_below_one_is_rejected(entry, kwargs):
+    # a check over no samples would pass vacuously and report min_gap = inf
+    with pytest.raises(ValueError, match="must be >= 1"):
+        entry(**kwargs)
 
 
 class TestCase1Check:
@@ -331,8 +350,8 @@ class TestProductDecompositionMembers:
         # the operator comparison is the stronger statement member by member
         for t in range(8):
             rng = np.random.default_rng([77, t])
-            fa = factor_eig_from_density(_rand_density(rng, (2, 2), 2))
-            fb = factor_eig_from_density(_rand_density(rng, (2, 2), 2))
+            fa = factor_eig_from_density(random_density_dims((2, 2), 2, rng))
+            fb = factor_eig_from_density(random_density_dims((2, 2), 2, rng))
             iso = random_isometry(8, fa.count * fb.count, rng)
             for d in product_decomposition_members(fa, fb, iso):
                 assert d["gap_question1"] >= d["gap_question2"] - 1e-9
@@ -390,8 +409,8 @@ class TestWeakAdditivity:
         per = []
         for k in range(2):
             rng = np.random.default_rng([3, k])
-            rho_a = _rand_density(rng, dims, 2)
-            rho_b = _rand_density(rng, dims, 2)
+            rho_a = random_density_dims(dims, 2, rng)
+            rho_b = random_density_dims(dims, 2, rng)
             ef_a, _ = _pair_eof(rho_a, (), factor_opts)
             ef_b, _ = _pair_eof(rho_b, (), factor_opts)
             est_a = eof_minimize(rho_a, (0,), factor_opts)

@@ -1,19 +1,10 @@
-"""Matrix kernel contracts: products, eigensystems, unitary exponentials."""
+"""Matrix helper contracts: Hermitian projection and deterministic eigensystems."""
 
 import numpy as np
 import pytest
 
 from eoflab import qmat
-from eoflab.qmat import (
-    ShapeError,
-    SizeError,
-    SymmetryError,
-    dagger,
-    expm_antihermitian,
-    herm_eig,
-    kron,
-    svd,
-)
+from eoflab.qmat import ShapeError, SymmetryError, herm_eig
 
 
 def _rng(seed):
@@ -22,57 +13,6 @@ def _rng(seed):
 
 def _random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-class TestKron:
-    def test_diag_example(self):
-        out = kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        np.testing.assert_allclose(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_identity_example(self):
-        a = _random_complex(_rng(0), (3, 3))
-        np.testing.assert_allclose(kron(np.eye(2), a)[3:, 3:], a)
-
-    def test_entrywise_definition(self):
-        # oracle: the definition evaluated entry by entry
-        rng = _rng(1)
-        a = _random_complex(rng, (2, 3))
-        b = _random_complex(rng, (3, 2))
-        out = kron(a, b)
-        for i in range(2):
-            for j in range(3):
-                for k in range(3):
-                    for l in range(2):
-                        assert out[i * 3 + k, j * 2 + l] == pytest.approx(a[i, j] * b[k, l])
-
-    def test_mixed_product_rule(self):
-        rng = _rng(2)
-        a, b, x, y = (_random_complex(rng, (2, 2)) for _ in range(4))
-        lhs = kron(a, b) @ kron(x, y)
-        rhs = kron(a @ x, b @ y)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_size_guard(self):
-        with pytest.raises(SizeError):
-            kron(np.eye(70), np.eye(70))
-        # custom cap
-        with pytest.raises(SizeError):
-            kron(np.eye(4), np.eye(4), max_dim=8)
-
-    def test_rejects_nonfinite(self):
-        bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            kron(bad, np.eye(2))
-
-
-class TestDagger:
-    def test_examples(self):
-        a = np.array([[1.0, 2.0j], [3.0, 4.0]])
-        np.testing.assert_allclose(dagger(a), np.array([[1.0, 3.0], [-2.0j, 4.0]]))
-
-    def test_involution(self):
-        a = _random_complex(_rng(3), (3, 4))
-        np.testing.assert_allclose(dagger(dagger(a)), a)
 
 
 class TestHermEig:
@@ -126,62 +66,6 @@ class TestHermEig:
         h = np.eye(2) + 1e-12 * np.array([[0.0, 1.0], [0.0, 0.0]])
         w, _ = herm_eig(h)
         np.testing.assert_allclose(w, [1.0, 1.0])
-
-
-class TestSvd:
-    def test_identity(self):
-        u, s, v = svd(np.eye(3))
-        np.testing.assert_allclose(s, np.ones(3))
-
-    def test_rank_one(self):
-        x = np.array([1.0, 2.0])
-        y = np.array([3.0, 4.0, 0.0])
-        a = np.outer(x, y)
-        _, s, _ = svd(a)
-        assert s[0] == pytest.approx(np.linalg.norm(x) * np.linalg.norm(y))
-        np.testing.assert_allclose(s[1:], 0.0, atol=1e-12)
-
-    @pytest.mark.parametrize("seed", [5, 6])
-    def test_against_gram_eigenvalues(self, seed):
-        # oracle: herm_eig of a†a gives the squared singular values
-        a = _random_complex(_rng(seed), (3, 2))
-        _, s, _ = svd(a)
-        w, _ = herm_eig(a.conj().T @ a)
-        np.testing.assert_allclose(s, np.sqrt(np.clip(w, 0.0, None)), atol=1e-10)
-
-    def test_reconstruction(self):
-        a = _random_complex(_rng(7), (4, 3))
-        u, s, v = svd(a)
-        np.testing.assert_allclose(u @ np.diag(s) @ v.conj().T, a, atol=1e-10)
-        assert np.all(np.diff(s) <= 0)
-
-
-class TestExpmAntihermitian:
-    def test_zero(self):
-        np.testing.assert_allclose(expm_antihermitian(np.zeros((3, 3))), np.eye(3))
-
-    def test_pi_rotation(self):
-        out = expm_antihermitian(np.pi * np.diag([1.0, 0.0]))
-        np.testing.assert_allclose(out, np.diag([-1.0, 1.0]), atol=1e-12)
-
-    @pytest.mark.parametrize("seed", [8, 9])
-    def test_unitarity(self, seed):
-        a = _random_complex(_rng(seed), (4, 4))
-        h = (a + a.conj().T) / 2
-        w = expm_antihermitian(h)
-        np.testing.assert_allclose(w.conj().T @ w, np.eye(4), atol=1e-9)
-
-    def test_singular_values_invariant(self):
-        rng = _rng(10)
-        a = _random_complex(rng, (3, 3))
-        g = _random_complex(rng, (3, 3))
-        h = (g + g.conj().T) / 2
-        w = expm_antihermitian(h)
-        np.testing.assert_allclose(svd(w @ a).s, svd(a).s, atol=1e-10)
-
-    def test_non_hermitian_generator_rejected(self):
-        with pytest.raises(SymmetryError):
-            expm_antihermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_hermitianize_halves_defect():

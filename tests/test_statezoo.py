@@ -16,7 +16,6 @@ from eoflab import (
     classical_spec,
     eof_wootters_2q,
     partial_trace,
-    pure_block_spec,
     random_density,
     random_isometry,
     random_pure,
@@ -29,7 +28,7 @@ from eoflab import (
     werner_two_pair,
 )
 from eoflab.qstate import load_state
-from eoflab.statezoo import swap_operator
+from eoflab.statezoo import random_density_dims, swap_operator
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,7 +96,7 @@ class TestCase2:
 
     def test_single_block_is_pure(self):
         amp = np.array([[math.sqrt(0.8), 0.0], [0.0, math.sqrt(0.2)]])
-        rho = case2_factor(pure_block_spec(amp, 2, 2))
+        rho = case2_factor(Case2Spec(2, 2, (Case2Block(1.0, amp, (0, 2), (0, 2)),)))
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-10)
         assert eof_wootters_2q(rho) == pytest.approx(
             -(0.8 * math.log2(0.8) + 0.2 * math.log2(0.2)), abs=1e-9
@@ -211,6 +210,32 @@ class TestSamplers:
         want = load_state(DATA / "random_density_d4_r2_seed7.json")
         got = random_density(4, 2, 7)
         np.testing.assert_allclose(got.mat, want.mat, atol=1e-15)
+
+    @pytest.mark.parametrize("draw, normals", [
+        (lambda seed: random_density_dims((4,), 2, seed).mat, 16),
+        (lambda seed: random_density_dims((2, 3), 3, seed).mat, 36),
+        (lambda seed: random_pure((2, 3), seed).vec, 12),
+    ], ids=["density-4-rank-2", "density-2x3-rank-3", "pure-2x3"])
+    def test_generator_seed_is_used_as_is(self, draw, normals):
+        seed = 31
+        first = draw(np.random.default_rng(seed))
+        assert np.array_equal(first, draw(seed))
+        # two draws on one Generator continue its stream: the second is the
+        # one that follows the first draw's `normals` real normals
+        gen = np.random.default_rng(seed)
+        draw(gen)
+        second = draw(gen)
+        skip = np.random.default_rng(seed)
+        skip.standard_normal(normals)
+        assert np.array_equal(second, draw(skip))
+        assert not np.array_equal(second, first)
+
+    @pytest.mark.parametrize("rank", [0, 5])
+    def test_rank_outside_grid_is_rejected(self, rank):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            random_density_dims((2, 2), rank, 0)
+        with pytest.raises(ValueError, match="outside 1..4"):
+            random_density(4, rank, 0)
 
     def test_random_isometry_contract(self):
         u = random_isometry(6, 3, 9)
