@@ -248,7 +248,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     kw = _kwargs(args, {"trials": "trials", "seed": "seed", "slack": "slack"})
     if args.relation == "superadditivity":
         kw |= _kwargs(args, {"source": "source", "phi": "phi"})
-        result = superadditivity_probe(opts=_eof_options(args), **kw)
+        result = superadditivity_probe(**kw)
     else:
         kw |= _kwargs(args, {"members": "members", "rank": "rank", "dims": "dims"})
         fn = probe_question1 if args.relation == "question1" else probe_question2
@@ -356,9 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     opt(p, "--members", type=int)
     opt(p, "--rank", type=int)
     opt(p, "--dims", type=_dims_arg)
-    opt(p, "--restarts", type=int)
-    opt(p, "--ensemble-size", type=_ensemble_size_arg, dest="ensemble_size")
-    opt(p, "--max-iterations", type=int, dest="max_iterations")
     p.set_defaults(fn=_cmd_probe)
 
     p = sub.add_parser("zoo", help="write an example state file")

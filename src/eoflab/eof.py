@@ -1,20 +1,22 @@
 """Entanglement of formation: exact pieces and the ensemble minimizer.
 
 The minimizer searches decompositions of rho through the isometry map: an
-m x m unitary exp(i H) is built from m^2 real parameters, its first rank(rho)
-columns feed `hjw_ensemble`, and the ensemble-average entanglement across the
-requested cut is pushed down by L-BFGS-B.  Each evaluation is one objective
-call, which returns the value with its exact gradient: a member cost maps
-the raw member columns sqrt(p_i) psi_i to the value and its Wirtinger
-gradient, which is chained back through exp(i H) to the parameters.  The
+m x rank(rho) complex matrix Y, held as 2 m rank real parameters, has the
+polar factor V = Y (Y^dagger Y)^{-1/2}, an isometry that feeds
+`hjw_ensemble`, and the ensemble-average entanglement across the requested
+cut is pushed down by L-BFGS-B.  Each evaluation is one objective call,
+which returns the value with its exact gradient: a member cost maps the raw
+member columns sqrt(p_i) psi_i to the value and its Wirtinger gradient,
+which is chained back through the polar factor to the parameters.  The
 member costs here are the entanglement entropy across a cut
 (`entropy_value_grad`) and the two-qubit Wootters EoF of a pair reduction
 (`wootters_value_grad`), whose concurrence and gradient come from one
 batched kernel, `concurrence_factors`.
-Restart 0 starts from the zero parameter vector (the eigen-decomposition),
-optional warm starts follow, and the remaining restarts draw their parameter
-vectors from Gaussian streams seeded by (seed, restart index), so the whole
-estimate is deterministic for fixed options.
+Restart 0 starts from Y = [1; 0] (the eigen-decomposition), optional warm
+starts follow as their own isometries padded with zero rows, and the
+remaining restarts draw Gaussian Y (Haar-random isometries) from streams
+seeded by (seed, restart index), so the whole estimate is deterministic for
+fixed options.
 
 Every value this module produces is an upper bound on the true EoF; only the
 two-qubit closed form is exact.
@@ -27,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .ensembles import (
@@ -45,7 +46,8 @@ from .qstate import (
     spectral_entropy,
 )
 
-AUTO_ENSEMBLE_CAP = 16
+# "auto" ensemble size: min(rank^2, max(AUTO_ENSEMBLE_FLOOR, 2 rank)) members
+AUTO_ENSEMBLE_FLOOR = 16
 
 # raw (D, m) member columns -> (value, dF/d conj(raw))
 MemberCost = Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -190,7 +192,9 @@ def cut_member_cost(dims: Sequence[int], cut, value_grad=entropy_value_grad) -> 
 class EofOptions:
     """Knobs for the decomposition search.
 
-    ensemble_size "auto" resolves to min(rank^2, 16), never below the rank.
+    ensemble_size "auto" resolves to min(rank^2, max(16, 2 rank)): all of
+    rank^2 up to rank 4, 16 from rank 4 to 8, and 2 rank above that, so the
+    search can always add members to the eigen-ensemble once rank > 1.
     No option selects how gradients are taken: every member cost supplies
     its own exact gradient (see minimize_over_decompositions).
     """
@@ -230,115 +234,68 @@ class EofEstimate:
     restart_values: tuple[float, ...] = field(default=())
 
 
-def _params_to_hermitian(x: np.ndarray, m: int) -> np.ndarray:
-    """Map m^2 real parameters to a Hermitian matrix.
-
-    x holds the m diagonal entries, then the real parts and then the
-    imaginary parts of the strict upper triangle in row-major order.
-    """
-    k = m * (m - 1) // 2
-    upper = x[m:m + k] + 1j * x[m + k:]
-    h = np.diag(x[:m].astype(np.complex128))
-    iu = np.triu_indices(m, 1)
-    h[iu] = upper
-    h[iu[1], iu[0]] = upper.conj()
-    return h
-
-
-def _hermitian_to_params(h: np.ndarray) -> np.ndarray:
-    """Inverse of _params_to_hermitian for a single matrix."""
-    m = h.shape[0]
-    iu = np.triu_indices(m, 1)
-    off = h[iu]
-    return np.concatenate([np.diagonal(h).real, off.real, off.imag])
+def _pack(y: np.ndarray) -> np.ndarray:
+    """[Re Y, Im Y] of an m x rank complex Y: the search's parameter vector."""
+    return np.concatenate([y.real.ravel(), y.imag.ravel()])
 
 
 class _DecompositionObjective:
-    """sum_i p_i cost(psi_i) over the isometry chart, with its exact gradient.
+    """sum_i p_i cost(psi_i) over the polar chart, with its exact gradient.
 
-    Calling the objective with a parameter vector x builds U = exp(i H(x))
-    from the eigendecomposition H = V diag(w) V^dagger, forms the member
-    columns raw = basis U[:, :rank]^T (column i is sqrt(p_i) psi_i), and
-    returns the value with its gradient in x.  The member cost returns the
-    value with the Wirtinger derivative G_raw = dF/d conj(raw), which is
-    chained back through raw -> U -> H -> x.
+    A parameter vector x = _pack(Y) holds an m x rank complex Y, with m read
+    from len(x).  Its polar factor V = Y S^{-1/2}, S = Y^dagger Y, is the
+    isometry; every m x rank isometry is the polar factor of itself.  The
+    member columns are raw = basis V^T (column i is sqrt(p_i) psi_i), and
+    the member cost returns the value with the Wirtinger derivative
+    G_raw = dF/d conj(raw), which is chained back through raw -> V -> Y -> x.
     """
 
-    def __init__(self, rho: DensityMatrix, cut, m: int, member_cost: MemberCost | None = None):
+    def __init__(self, rho: DensityMatrix, cut, member_cost: MemberCost | None = None):
         lam, vecs = support_decomposition(rho)
         self.rank = int(lam.size)
-        self.m = m
-        self.nparams = m * m
         self.basis = vecs * np.sqrt(lam)
         self.cost = member_cost if member_cost is not None else cut_member_cost(rho.dims, cut)
-        self.triu = np.triu_indices(m, 1)
 
-    def _unitary(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """U = exp(i H(x)) = V diag(e^{iw}) V^dagger, with the eigensystem (w, V) of H(x)."""
-        w, v = np.linalg.eigh(_params_to_hermitian(x, self.m))
-        return (v * np.exp(1j * w)) @ v.conj().T, w, v
+    def _polar(self, x: np.ndarray):
+        """Y, S^{-1/2} and (sqrt(s), W) from S = Y^dagger Y = W diag(s) W^dagger."""
+        re, im = x.reshape(2, -1, self.rank)
+        y = re + 1j * im
+        s, w = np.linalg.eigh(y.conj().T @ y)
+        root = np.sqrt(s)
+        return y, (w / root) @ w.conj().T, root, w
 
     def isometry(self, x: np.ndarray) -> np.ndarray:
-        """The first rank columns of exp(i H(x)), which feed `hjw_ensemble`."""
-        return self._unitary(x)[0][:, : self.rank]
+        """The polar factor of Y(x), which feeds `hjw_ensemble`."""
+        y, inv_root, _, _ = self._polar(x)
+        return y @ inv_root
 
     def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective value and its gradient at the parameter vector x."""
-        u, w, v = self._unitary(x)
-        raw = self.basis @ u[:, : self.rank].T                  # (D, m) columns
-        value, g_raw = self.cost(raw)
-        return value, self._chain(g_raw, w, v)
-
-    def _chain(self, g_raw: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Chain dF/d conj(raw) back through U = exp(iH) to the parameters."""
-        m = self.m
-        g_u = np.zeros((m, m), dtype=np.complex128)
-        g_u[:, : self.rank] = (self.basis.conj().T @ g_raw).T
-        # divided differences of exp(i.) at the eigenvalues, in the sinc form
-        # that stays exact for equal or nearly equal eigenvalues
-        half_sum = (w[:, None] + w[None, :]) / 2
-        half_gap = (w[:, None] - w[None, :]) / 2
-        phi = 1j * np.exp(1j * half_sum) * np.sinc(half_gap / np.pi)
-        vh = v.conj().T
-        g_h = v @ (np.conj(phi) * (vh @ g_u @ v)) @ vh
-        upper = g_h[self.triu]
-        lower = g_h.T[self.triu]
-        return 2.0 * np.concatenate([
-            np.diagonal(g_h).real, (upper + lower).real, upper.imag - lower.imag])
-
-
-def _complete_to_unitary(u: np.ndarray, m: int) -> np.ndarray:
-    """Extend m' x r orthonormal columns (padded to m rows) to an m x m unitary."""
-    r = u.shape[1]
-    full = np.zeros((m, r), dtype=np.complex128)
-    full[: u.shape[0], :] = u
-    if r == m:
-        return full
-    proj = np.eye(m) - full @ full.conj().T
-    w, v = np.linalg.eigh(proj)
-    comp = v[:, w > 0.5]
-    if comp.shape[1] != m - r:
-        raise ValueError("could not complete isometry to a unitary")
-    return np.hstack([full, comp])
+        y, inv_root, root, w = self._polar(x)
+        value, g_raw = self.cost(self.basis @ (y @ inv_root).T)    # (D, m) columns
+        g_v = (self.basis.conj().T @ g_raw).T
+        # divided differences of s^{-1/2}, written without a difference
+        # quotient, so equal or nearly equal s stay exact
+        gamma = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
+        wh = w.conj().T
+        n = w @ (gamma * (wh @ y.conj().T @ g_v @ w)) @ wh
+        g_y = g_v @ inv_root + y @ (n + n.conj().T)
+        return value, 2.0 * _pack(g_y)
 
 
 def _params_for_ensemble(rho: DensityMatrix, e: Ensemble, m: int) -> np.ndarray:
-    """Parameter vector whose unitary reproduces the given decomposition."""
+    """Parameter vector whose polar factor reproduces the given decomposition.
+
+    The isometry of e, padded with zero rows to m members, is its own polar factor.
+    """
     u = isometry_for_ensemble(rho, e)
-    if u.shape[0] > m:
-        raise ValueError(f"warm start has {u.shape[0]} members, ensemble size is {m}")
-    w = _complete_to_unitary(u, m)
-    t, z = scipy.linalg.schur(w, output="complex")
-    theta = np.angle(np.diagonal(t))
-    h = (z * theta) @ z.conj().T
-    h = (h + h.conj().T) / 2
-    return _hermitian_to_params(h)
+    return _pack(np.pad(u, ((0, m - u.shape[0]), (0, 0))))
 
 
 def resolve_ensemble_size(rank: int, requested: int | str, warm_sizes: Sequence[int] = ()) -> int:
     """Apply the auto rule and the hard floors (rank, warm-start member count)."""
     if requested == "auto":
-        m = min(rank * rank, AUTO_ENSEMBLE_CAP)
+        m = min(rank * rank, max(AUTO_ENSEMBLE_FLOOR, 2 * rank))
     else:
         m = int(requested)
         if m < rank:
@@ -361,25 +318,21 @@ def minimize_over_decompositions(
     native subsystem order and returns the value sum_i p_i c(psi_i) with
     its Wirtinger gradient dF/d conj(v), a (D, m) array; `cut_member_cost`
     builds such costs from `entropy_value_grad` and `wootters_value_grad`.
-    The gradient is chained through exp(iH) to the parameters, so one
+    The gradient is chained through the polar factor to the parameters, so one
     L-BFGS-B evaluation is one objective call, which calls the member cost
     once.
     """
     opts = opts if opts is not None else EofOptions()
-    cut = tuple(cut)
-    lam, _ = support_decomposition(rho)
-    rank = int(lam.size)
+    obj = _DecompositionObjective(rho, tuple(cut), member_cost)
+    rank = obj.rank
     m = resolve_ensemble_size(rank, opts.ensemble_size, [len(e) for e in warm_starts])
-    obj = _DecompositionObjective(rho, cut, m, member_cost)
-    n = obj.nparams
 
-    starts: list[np.ndarray] = [np.zeros(n)]
-    for e in warm_starts:
-        starts.append(_params_for_ensemble(rho, e, m))
+    starts = [_pack(np.eye(m, rank))]
+    starts += [_params_for_ensemble(rho, e, m) for e in warm_starts]
     n_runs = max(opts.restarts, len(starts))
     for k in range(len(starts), n_runs):
         rng = np.random.default_rng([opts.seed, k])
-        starts.append(rng.standard_normal(n))
+        starts.append(rng.standard_normal(2 * m * rank))
 
     best_value = math.inf
     best_x = starts[0]

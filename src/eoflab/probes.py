@@ -662,6 +662,7 @@ def check_case2(spec_a: Case2Spec, spec_b: Case2Spec, opts: EofOptions | None = 
     ensemble, which is exactly optimal for this family.
     """
     _require_count("decomposition_samples", decomposition_samples)
+    _require_count("members", members)
     fa = factor_eig_from_case2(spec_a)
     fb = factor_eig_from_case2(spec_b)
     per = []
@@ -788,8 +789,7 @@ def pair_superadditivity_gap(psi: PureState, opts: EofOptions | None = None):
 
 
 def superadditivity_probe(source: str = "random", trials: int = 100, seed: int = 0,
-                          slack: float = 1e-6, phi: float = -1.0,
-                          opts: EofOptions | None = None) -> ProbeResult:
+                          slack: float = 1e-6, phi: float = -1.0) -> ProbeResult:
     """Search for pair-entropy vs EoF-sum violations over pure four-party states.
 
     Sources: "random" draws Haar-like two-pair pure states, "case1" draws
@@ -820,7 +820,7 @@ def superadditivity_probe(source: str = "random", trials: int = 100, seed: int =
         gaps = []
         details = []
         for c in candidates:
-            g, d = pair_superadditivity_gap(c, opts)
+            g, d = pair_superadditivity_gap(c)
             gaps.append(g)
             details.append(d)
             exact_all = exact_all and d["exact_terms"]
@@ -848,6 +848,7 @@ def _question_probe(name: str, key: str, factor_a, factor_b, trials: int,
                     members: int, seed: int, slack: float, dims, rank: int,
                     track_implication: bool) -> ProbeResult:
     _require_count("trials", trials)
+    _require_count("members", members)
     fixed_a = None if factor_a is None else as_factor_eig(factor_a)
     fixed_b = None if factor_b is None else as_factor_eig(factor_b)
     per = []

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten criteria, each printing one pass/fail line.
+"""Acceptance gate: eleven criteria, each printing one pass/fail line.
 
 Every criterion pins a documented tolerance and runtime budget.  The line
 prints through the capture so the verdicts appear in plain pytest output;
@@ -6,6 +6,7 @@ the assertions after each line are what actually gate the suite.
 """
 
 import json
+import math
 import time
 
 import numpy as np
@@ -30,6 +31,7 @@ from eoflab import (
     probe_question1,
     probe_question2,
     reevaluate_argmin,
+    spectral_entropy,
     superadditivity_probe,
     two_block_spec,
     werner_state,
@@ -221,4 +223,24 @@ def test_criterion_10_probes(capsys):
                  f"finding: {r.name} violated on random inputs "
                  f"(min_gap={r.min_gap:.3f}, reproducible from argmin) - "
                  "reported, not a failure")
+    assert ok
+
+
+def test_criterion_11_werner_family(capsys):
+    # Vollbrecht & Werner, PRA 64, 062307 (2001): for flip expectation
+    # phi < 0, E_f = h((1 - sqrt(1 - phi^2)) / 2), the first exact check past
+    # two qubits.  The full-rank states at d = 4 and 5 need the auto
+    # ensemble size above rank (m = 32 and 50).
+    t0 = time.perf_counter()
+    worst = 0.0
+    for d in (3, 4, 5):
+        for phi in (-1.0, -0.6, -0.3):
+            est = eof_minimize(werner_state(d, phi), (0,), EofOptions(restarts=4, seed=0))
+            x = (1.0 - math.sqrt(1.0 - phi * phi)) / 2.0
+            exact = spectral_entropy([x, 1.0 - x], floor=0.0)
+            worst = max(worst, abs(est.value - exact))
+    dt = time.perf_counter() - t0
+    ok = worst < 1e-5 and dt < 60.0
+    report(capsys, 11, "werner-family", ok,
+           f"d=3,4,5 x phi=-1,-0.6,-0.3, worst |minimize-closed|={worst:.2e}", dt, 60)
     assert ok

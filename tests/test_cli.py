@@ -179,6 +179,8 @@ class TestVerify:
     ("probe", "question1", "--trials", "0"),
     ("probe", "question2", "--trials", "0"),
     ("probe", "superadditivity", "--trials", "0"),
+    ("probe", "question1", "--trials", "2", "--members", "-5"),
+    ("probe", "question2", "--members", "0"),
 ], ids=" ".join)
 def test_count_below_one_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -207,6 +209,13 @@ class TestProbe:
         assert code == 2
         assert out == ""
         assert "rank 5 outside 1..4" in err
+
+    @pytest.mark.parametrize("flag", ["--restarts", "--ensemble-size", "--max-iterations"])
+    def test_search_flags_are_usage_errors(self, flag):
+        # no probe runs the decomposition search, so it takes no search options
+        with pytest.raises(SystemExit) as exc:
+            main(["probe", "superadditivity", flag, "4"])
+        assert exc.value.code == 2
 
     def test_seeded_runs_are_identical(self, capsys):
         _, out1, _ = run(capsys, "probe", "question1", "--trials", "5",

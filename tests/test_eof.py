@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eoflab import (
     Case1Spec,
@@ -157,9 +159,9 @@ class TestEofOptions:
     def test_auto_rule(self):
         from eoflab.eof import resolve_ensemble_size
 
-        assert resolve_ensemble_size(2, "auto") == 4
-        assert resolve_ensemble_size(4, "auto") == 16
-        assert resolve_ensemble_size(5, "auto") == 16  # capped, still >= rank
+        # min(rank^2, max(16, 2 rank)): unchanged up to rank 8, 2 rank past it
+        for rank, m in ((2, 4), (4, 16), (5, 16), (8, 16), (9, 18), (16, 32), (25, 50)):
+            assert resolve_ensemble_size(rank, "auto") == m
         assert resolve_ensemble_size(3, 8) == 8
         with pytest.raises(ValueError):
             resolve_ensemble_size(4, 2)
@@ -306,8 +308,13 @@ def _difference_gradient(obj, x, h=1e-6):
     return grad
 
 
-def _gradient_points(n, seed):
-    return [np.zeros(n), np.random.default_rng(seed).standard_normal(n)]
+def _gradient_points(m, rank, seed):
+    """The eigen start Y = [1; 0], where all of S = Y^dagger Y's eigenvalues
+    are equal, and a Gaussian Y."""
+    from eoflab.eof import _pack
+
+    return [_pack(np.eye(m, rank)),
+            np.random.default_rng(seed).standard_normal(2 * m * rank)]
 
 
 class TestObjectiveGradient:
@@ -317,8 +324,8 @@ class TestObjectiveGradient:
         from eoflab.eof import _DecompositionObjective
 
         rho = random_density_dims(dims, rank, [50, rank, m])
-        obj = _DecompositionObjective(rho, (0,), m)
-        for x in _gradient_points(m * m, 51):   # x = 0: all eigenvalues of H equal
+        obj = _DecompositionObjective(rho, (0,))
+        for x in _gradient_points(m, obj.rank, 51):
             value, grad = obj(x)
             assert grad.shape == x.shape
             np.testing.assert_allclose(grad, _difference_gradient(obj, x), rtol=0, atol=1e-6)
@@ -327,8 +334,8 @@ class TestObjectiveGradient:
         from eoflab.eof import _DecompositionObjective
 
         rho = tensor(two_qubit(52, rank=2), two_qubit(53, rank=2))
-        obj = _DecompositionObjective(rho, (0, 2), 16)
-        for x in _gradient_points(256, 54):
+        obj = _DecompositionObjective(rho, (0, 2))
+        for x in _gradient_points(16, obj.rank, 54):
             np.testing.assert_allclose(obj(x)[1], _difference_gradient(obj, x),
                                        rtol=0, atol=1e-6)
 
@@ -336,8 +343,8 @@ class TestObjectiveGradient:
         from eoflab.eof import _DecompositionObjective
 
         rho = two_qubit(55, rank=3)
-        obj = _DecompositionObjective(rho, (0,), 6)
-        x = np.random.default_rng(56).standard_normal(36)
+        obj = _DecompositionObjective(rho, (0,))
+        x = np.random.default_rng(56).standard_normal(2 * 6 * obj.rank)
         e = hjw_ensemble(rho, obj.isometry(x))
         assert obj(x)[0] == pytest.approx(ensemble_average_entanglement(e, [0]), abs=1e-12)
 
@@ -349,8 +356,8 @@ class TestObjectiveGradient:
         from eoflab.probes import _chain_cost
 
         rho = tensor(two_qubit(57, rank=2), two_qubit(58, rank=2))
-        obj = _DecompositionObjective(rho, (0, 2), 16, _chain_cost(left_eof, right_eof))
-        for x in _gradient_points(256, 59):
+        obj = _DecompositionObjective(rho, (0, 2), _chain_cost(left_eof, right_eof))
+        for x in _gradient_points(16, obj.rank, 59):
             np.testing.assert_allclose(obj(x)[1], _difference_gradient(obj, x),
                                        rtol=0, atol=1e-6)
 
@@ -392,25 +399,52 @@ class TestObjectiveGradient:
             return cost(raw)
 
         m = 16
-        obj = _DecompositionObjective(rho, (0, 2), m, counting_cost)
-        obj(np.random.default_rng(62).standard_normal(m * m))
+        obj = _DecompositionObjective(rho, (0, 2), counting_cost)
+        obj(np.random.default_rng(62).standard_normal(2 * m * obj.rank))
         assert passed == [(16, m)]
 
 
-class TestObjectiveExponential:
-    """The objective's single exp(i H(x)) route, against scipy's expm."""
+class TestObjectivePolar:
+    """The objective's chart: the polar factor of an m x rank complex Y."""
 
     @pytest.mark.parametrize("dims, rank, m", [
         ((2, 2), 2, 8), ((2, 3), 3, 9), ((2, 2, 2, 2), 4, 16)])
-    def test_isometry_is_leading_columns_of_expm(self, dims, rank, m):
-        import scipy.linalg
-
-        from eoflab.eof import _DecompositionObjective, _params_to_hermitian
+    def test_isometry_is_polar_factor(self, dims, rank, m):
+        from eoflab.eof import _DecompositionObjective
 
         rho = random_density_dims(dims, rank, [70, m])
-        obj = _DecompositionObjective(rho, (0,), m)
-        for x in _gradient_points(m * m, 71):
-            u = obj.isometry(x)
-            want = scipy.linalg.expm(1j * _params_to_hermitian(x, m))[:, :rank]
-            np.testing.assert_allclose(u, want, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(u.conj().T @ u, np.eye(rank), rtol=0, atol=1e-12)
+        obj = _DecompositionObjective(rho, (0,))
+        for x in _gradient_points(m, rank, 71):
+            v = obj.isometry(x)
+            re, im = x.reshape(2, m, rank)
+            u, _, vh = np.linalg.svd(re + 1j * im, full_matrices=False)
+            np.testing.assert_allclose(v, u @ vh, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(v.conj().T @ v, np.eye(rank), rtol=0, atol=1e-12)
+
+    def test_warm_start_round_trip(self):
+        from eoflab.eof import _DecompositionObjective, _params_for_ensemble
+
+        rho = two_qubit(72)
+        e = hjw_ensemble(rho, random_isometry(6, 4, 73))
+        obj = _DecompositionObjective(rho, (0,))
+        x = _params_for_ensemble(rho, e, 9)
+        back = hjw_ensemble(rho, obj.isometry(x))
+        assert len(back) == len(e)
+        np.testing.assert_allclose(back.weights, e.weights, rtol=0, atol=1e-12)
+        for a, b in zip(back.states, e.states):
+            np.testing.assert_allclose(a.vec, b.vec, rtol=0, atol=1e-12)
+        assert obj(x)[0] == pytest.approx(ensemble_average_entanglement(e, [0]), abs=1e-12)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3)]), rank=st.integers(1, 4),
+           extra=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    def test_chart_mixes_back_and_values_its_ensemble(self, dims, rank, extra, seed):
+        from eoflab.eof import _DecompositionObjective
+
+        rho = random_density_dims(dims, rank, [74, seed])
+        obj = _DecompositionObjective(rho, (0,))
+        m = rank + extra
+        x = np.random.default_rng([75, seed]).standard_normal(2 * m * rank)
+        e = hjw_ensemble(rho, obj.isometry(x))
+        np.testing.assert_allclose(mix(e).mat, rho.mat, rtol=0, atol=1e-9)
+        assert obj(x)[0] == pytest.approx(ensemble_average_entanglement(e, [0]), abs=1e-10)

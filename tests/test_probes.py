@@ -203,10 +203,15 @@ class TestEntropyChecks:
     pytest.param(functools.partial(check_case2, classical_spec([0.5, 0.5]),
                                    classical_spec([0.5, 0.5])),
                  {"decomposition_samples": 0}, id="case2"),
+    pytest.param(functools.partial(check_case2, classical_spec([0.5, 0.5]),
+                                   classical_spec([0.5, 0.5])),
+                 {"members": 0}, id="case2-members"),
     pytest.param(check_weak_additivity, {"pairs": 0}, id="weak-additivity"),
     pytest.param(superadditivity_probe, {"trials": 0}, id="superadditivity"),
     pytest.param(probe_question1, {"trials": 0}, id="question1"),
     pytest.param(probe_question2, {"trials": 0}, id="question2"),
+    pytest.param(probe_question1, {"members": -5}, id="question1-members"),
+    pytest.param(probe_question2, {"members": 0}, id="question2-members"),
 ])
 def test_count_below_one_is_rejected(entry, kwargs):
     # a check over no samples would pass vacuously and report min_gap = inf
