@@ -6,10 +6,11 @@ Run:  python3 demos/flagged_mixture_additivity.py
 
 from eoflab import (
     EofOptions,
+    case2_ensemble,
+    case2_factor,
     check_case2,
     classical_spec,
     eof_minimize,
-    factor_eig_from_case2,
     product_decomposition_members,
     tensor,
     two_block_spec,
@@ -22,9 +23,9 @@ print("block ensemble itself is an optimal decomposition and")
 print("  E_f = sum_J lambda_J E(block J)   exactly.\n")
 
 spec = two_block_spec(0.5, 3)
-fe = factor_eig_from_case2(spec)
+blocks = case2_ensemble(spec)
 print("The working example on 3x3: half a product state |00>, half a Bell")
-print(f"pair on the complementary support; block weights {list(fe.weights)}.")
+print(f"pair on the complementary support; block weights {list(blocks.weights)}.")
 print("Block entanglements are 0 and 1 ebit, so E_f = 0.5 exactly.\n")
 
 print("=== Per-member bound over random decompositions of the product ===")
@@ -36,7 +37,7 @@ print("it over the ensemble forces the product EoF up to the sum.\n")
 
 worst = float("inf")
 for t in range(10):
-    members = product_decomposition_members(fe, fe, random_isometry(8, 4, [0, t]))
+    members = product_decomposition_members(blocks, blocks, random_isometry(8, 4, [0, t]))
     worst = min(worst, min(d["gap_member"] for d in members))
 print(f"  10 random 8-member decompositions: min member gap {worst:+.2e}\n")
 
@@ -51,7 +52,6 @@ print("=== The 2x2 classical analogue ===")
 print("Two one-dimensional blocks give a separable factor with E_f = 0; the")
 print("product is a separable two-pair state the searcher must flatten to 0.")
 ana = classical_spec([0.5, 0.5])
-est = eof_minimize(tensor(factor_eig_from_case2(ana).state(),
-                          factor_eig_from_case2(ana).state()), (0, 2),
+est = eof_minimize(tensor(case2_factor(ana), case2_factor(ana)), (0, 2),
                    EofOptions(restarts=6, ensemble_size=8, seed=5))
 print(f"  searched product EoF: {est.value:.2e} (target 0)")

@@ -30,6 +30,7 @@ from .qstate import (
 )
 from .ensembles import (
     Ensemble,
+    eigen_ensemble,
     flagged_state,
     hjw_ensemble,
     isometry_for_ensemble,
@@ -54,6 +55,7 @@ from .statezoo import (
     Case2Spec,
     ConstraintError,
     case1_state,
+    case2_ensemble,
     case2_factor,
     classical_spec,
     random_density,
@@ -66,9 +68,7 @@ from .statezoo import (
 )
 from .probes import (
     CheckReport,
-    FactorEig,
     ProbeResult,
-    as_factor_eig,
     case1_suite,
     check_case1,
     check_case2,
@@ -76,8 +76,6 @@ from .probes import (
     check_ssa,
     check_strong_concavity,
     check_weak_additivity,
-    factor_eig_from_case2,
-    factor_eig_from_density,
     pair_superadditivity_gap,
     probe_question1,
     probe_question2,

@@ -61,18 +61,6 @@ def _ensemble_size_arg(text: str):
     return text if text == "auto" else int(text)
 
 
-_CONFIG_CASTS = {
-    "cut": _dims_arg, "dims": _dims_arg, "shape": _dims_arg,
-    "samples": int, "trials": int, "seed": int, "restarts": int,
-    "max_iterations": int, "members": int, "rank": int, "d": int,
-    "pairs": int, "decomposition_samples": int,
-    "tol": float, "slack": float, "member_slack": float, "phi": float,
-    "product_weight": float,
-    "ensemble_size": _ensemble_size_arg,
-    "source": str, "out": str, "dump_ensemble": str, "format": str,
-}
-
-
 def _load_config(path: str) -> dict[str, str]:
     """key=value per line; blank lines and # comments ignored."""
     out: dict[str, str] = {}
@@ -88,13 +76,18 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config(args: argparse.Namespace, config: dict[str, str]) -> None:
-    """Fill options the command line left unset; flags always win."""
-    for key, raw in config.items():
-        if not hasattr(args, key) or getattr(args, key) is not None:
-            continue
-        cast = _CONFIG_CASTS.get(key, str)
-        setattr(args, key, cast(raw))
+def _apply_config(parser: argparse.ArgumentParser, commands: dict, command: str,
+                  config: dict[str, str], path: str) -> None:
+    """Make string defaults of the config values, for argparse to convert
+    with each option's own type on the next parse; flags still win."""
+    sub, keys = commands[command]
+    unknown = sorted(set(config) - keys)
+    if unknown:
+        raise ValueError(f"{path}: 'eof {command}' has no option for "
+                         f"{', '.join(map(repr, unknown))}")
+    # a top-level default, so that --format on either side of the subcommand wins
+    parser.set_defaults(format=config.pop("format", None))
+    sub.set_defaults(**config)
 
 
 def _kwargs(args: argparse.Namespace, names: dict[str, str]) -> dict:
@@ -295,7 +288,8 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and per subcommand its parser and the keys --config may set."""
     parser = argparse.ArgumentParser(
         prog="eof",
         description="Entanglement of formation: computation, verification, probes.",
@@ -305,9 +299,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="report format on stdout (default json)")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    config_keys: dict[argparse.ArgumentParser, set[str]] = {}
+
     def opt(p, *names, **kw):
         kw.setdefault("default", None)
-        p.add_argument(*names, **kw)
+        config_keys.setdefault(p, {"format"}).add(p.add_argument(*names, **kw).dest)
 
     def common(p):
         # accepted after the subcommand too; SUPPRESS keeps an unset
@@ -375,18 +371,20 @@ def _build_parser() -> argparse.ArgumentParser:
     opt(p, "--rank", type=int)
     p.add_argument("--pure", action="store_true", help="random: pure instead of mixed")
     p.set_defaults(fn=_cmd_zoo)
-    return parser
+    return parser, {name: (p, config_keys[p]) for name, p in sub.choices.items()}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
         try:
-            _apply_config(args, _load_config(args.config))
+            _apply_config(parser, commands, args.command, _load_config(args.config),
+                          args.config)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except (OSError, ValueError, TypeError) as exc:

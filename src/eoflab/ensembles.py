@@ -88,6 +88,13 @@ def support_decomposition(rho: DensityMatrix, rank_tol: float = RANK_TOL):
     return w[keep], v[:, keep]
 
 
+def eigen_ensemble(rho: DensityMatrix) -> Ensemble:
+    """rho's eigen-ensemble {lam_j / sum(lam), e_j} over its support."""
+    lam, vecs = support_decomposition(rho)
+    states = tuple(PureState(rho.dims, vecs[:, j]) for j in range(lam.size))
+    return Ensemble(lam / float(lam.sum()), states)
+
+
 def hjw_ensemble(rho: DensityMatrix, u, ptol: float = 1e-12) -> Ensemble:
     """Ensemble generated from rho's eigendecomposition by the isometry u.
 

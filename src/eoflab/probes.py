@@ -5,7 +5,8 @@ randomized searches for violations of open conjectures return a
 ProbeResult.  Both serialize byte-identically for a given input, so runs
 can be archived, diffed, and re-verified, and every reported candidate
 violation carries enough data (`argmin`) to be recomputed from scratch
-with `reevaluate_argmin`.
+with `reevaluate_argmin`.  Every decomposition here is an `Ensemble`, and
+an argmin stores one in the ensemble-file layout.
 """
 
 from __future__ import annotations
@@ -22,10 +23,13 @@ import numpy as np
 from .ensembles import (
     Ensemble,
     check_isometry,
+    eigen_ensemble,
+    ensemble_to_payload,
+    flagged_state,
     hjw_ensemble,
+    payload_to_ensemble,
     product_ensemble,
     support_decomposition,
-    flagged_state,
 )
 from .eof import (
     EofOptions,
@@ -38,10 +42,9 @@ from .eof import (
     minimize_over_decompositions,
     wootters_value_grad,
 )
-from .qmat import ShapeError, as_cmatrix
+from .qmat import ShapeError
 from .qstate import (
     DensityMatrix,
-    NormalizationError,
     PureState,
     complex_to_pairs,
     pairs_to_complex,
@@ -59,6 +62,7 @@ from .statezoo import (
     Case2Spec,
     case1_conditional,
     case1_state,
+    case2_ensemble,
     case2_factor,
     random_density_dims,
     random_isometry,
@@ -450,104 +454,13 @@ def case1_suite(samples: int = 20, shapes=((2, 2), (2, 3), (3, 2), (3, 3)),
 # ---------------------------------------------------------------------------
 # locally flagged mixtures: member-level bounds and additivity
 
-@dataclass(frozen=True)
-class FactorEig:
-    """Pinned eigendecomposition of a two-subsystem state.
+def product_decomposition_members(fa: Ensemble, fb: Ensemble, iso) -> list[dict]:
+    """Member-level data for a decomposition of mix(fa) (x) mix(fb).
 
-    The basis matters when the spectrum is degenerate: the structured
-    member bounds below rely on eigenvectors with disjoint local supports,
-    and a generic eigensolver may rotate inside a degenerate eigenspace.
-    Carrying weights and vectors explicitly keeps the intended basis.
-    """
-
-    dims: tuple[int, int]
-    weights: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 2 or min(dims) < 1:
-            raise ShapeError(f"need two subsystem dims, got {self.dims!r}")
-        w = np.asarray(self.weights, dtype=float).reshape(-1).copy()
-        v = as_cmatrix(self.vectors).copy()
-        d = dims[0] * dims[1]
-        if w.size == 0:
-            raise ValueError("empty eigendecomposition")
-        if v.shape != (d, w.size):
-            raise ShapeError(f"vectors shape {v.shape}, expected {(d, w.size)}")
-        if float(w.min()) <= 0.0:
-            raise ValueError("weights must be strictly positive")
-        if abs(float(w.sum()) - 1.0) > 1e-9:
-            raise NormalizationError(f"weights sum to {float(w.sum())!r}")
-        gram = v.conj().T @ v
-        if float(np.abs(gram - np.eye(w.size)).max()) > 1e-9:
-            raise ValueError("vectors are not orthonormal")
-        w.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def count(self) -> int:
-        return int(self.weights.size)
-
-    def state(self) -> DensityMatrix:
-        m = (self.vectors * self.weights) @ self.vectors.conj().T
-        return DensityMatrix(self.dims, m)
-
-    def left_flags(self) -> np.ndarray:
-        """(count, d_left, d_left) stack of left reductions of each eigenvector."""
-        da, db = self.dims
-        x = self.vectors.T.reshape(self.count, da, db)
-        return np.einsum("nab,ncb->nac", x, x.conj())
-
-
-def factor_eig_from_density(rho: DensityMatrix) -> FactorEig:
-    if len(rho.dims) != 2:
-        raise ShapeError(f"need a two-subsystem state, got dims {rho.dims}")
-    lam, vecs = support_decomposition(rho)
-    return FactorEig(rho.dims, lam / float(lam.sum()), vecs)
-
-
-def factor_eig_from_case2(spec: Case2Spec) -> FactorEig:
-    """Eigendecomposition straight from the blocks, preserving the block basis."""
-    keep = [b for b in spec.blocks if b.weight > 1e-12]
-    w = np.array([b.weight for b in keep])
-    v = np.column_stack([b.vector(spec.d_a, spec.d_b) for b in keep])
-    return FactorEig((spec.d_a, spec.d_b), w / float(w.sum()), v)
-
-
-def as_factor_eig(obj) -> FactorEig:
-    if isinstance(obj, FactorEig):
-        return obj
-    if isinstance(obj, Case2Spec):
-        return factor_eig_from_case2(obj)
-    if isinstance(obj, DensityMatrix):
-        return factor_eig_from_density(obj)
-    raise TypeError(f"cannot interpret {type(obj).__name__} as a factor eigendecomposition")
-
-
-def factor_eig_to_payload(fe: FactorEig) -> dict:
-    return {
-        "dims": [int(d) for d in fe.dims],
-        "weights": [float(w) for w in fe.weights],
-        "vectors": complex_to_pairs(fe.vectors.reshape(-1)),
-    }
-
-
-def payload_to_factor_eig(payload: dict) -> FactorEig:
-    dims = tuple(int(d) for d in payload["dims"])
-    w = np.asarray(payload["weights"], dtype=float)
-    v = pairs_to_complex(payload["vectors"]).reshape(dims[0] * dims[1], w.size)
-    return FactorEig(dims, w, v)
-
-
-def product_decomposition_members(fa: FactorEig, fb: FactorEig, iso) -> list[dict]:
-    """Member-level data for a decomposition of state(fa) (x) state(fb).
-
-    The isometry's columns act on the product eigenbasis, first factor
-    major: column J*fb.count + K multiplies sqrt(w_J w_K) |J>|K>.  Members
+    Each factor is a two-subsystem ensemble of orthonormal members, the
+    flags, with positive weights (eigen_ensemble, case2_ensemble).  The
+    isometry's columns act on the product of the member bases, first factor
+    major: column J*len(fb) + K multiplies sqrt(w_J w_K) |J>|K>.  Members
     with negligible probability are dropped (their original row index is
     kept in "index").  Each entry carries, for the member psi_i on the
     four parties (A, B, A', B'):
@@ -561,15 +474,25 @@ def product_decomposition_members(fa: FactorEig, fb: FactorEig, iso) -> list[dic
                      - S(flag/A' mixture), an SSA-shaped comparison of the
                      three trace-one flagged operators (terms in entry)
     """
+    for f in (fa, fb):
+        if len(f.dims) != 2:
+            raise ShapeError(f"need two-subsystem factors, got dims {f.dims}")
+        if float(f.weights.min()) <= 0.0:  # Ensemble allows 0 and -1e-12
+            raise ValueError("factor weights must be strictly positive")
+    vec_a = check_isometry(np.column_stack([s.vec for s in fa.states]))
+    vec_b = check_isometry(np.column_stack([s.vec for s in fb.states]))
     iso = check_isometry(iso)
-    nj, nk = fa.count, fb.count
+    nj, nk = len(fa), len(fb)
     if iso.shape[1] != nj * nk:
         raise ShapeError(f"isometry has {iso.shape[1]} columns, expected {nj * nk}")
     lj, lk = fa.weights, fb.weights
-    sig_j = fa.left_flags()
-    sig_k = fb.left_flags()
     da, db = fa.dims
     dap, dbp = fb.dims
+    # flag reductions: the left reduction of each factor member
+    xa = vec_a.T.reshape(nj, da, db)
+    xb = vec_b.T.reshape(nk, dap, dbp)
+    sig_j = np.einsum("nab,ncb->nac", xa, xa.conj())
+    sig_k = np.einsum("nab,ncb->nac", xb, xb.conj())
     sqrt_l = np.sqrt(np.outer(lj, lk))
     sqrt_lj = np.sqrt(lj)
     sqrt_lk = np.sqrt(lk)
@@ -582,7 +505,7 @@ def product_decomposition_members(fa: FactorEig, fb: FactorEig, iso) -> list[dic
         if p <= 1e-14:
             continue
         root_p = math.sqrt(p)
-        mat = fa.vectors @ (amp / root_p) @ fb.vectors.T
+        mat = vec_a @ (amp / root_p) @ vec_b.T
         psi = PureState((da, db, dap, dbp), mat.reshape(-1))
         s_pair = von_neumann_entropy(reduced_state(psi, (0, 2)))
         s_ap = von_neumann_entropy(reduced_state(psi, (2,)))
@@ -592,45 +515,38 @@ def product_decomposition_members(fa: FactorEig, fb: FactorEig, iso) -> list[dic
         # left_ops[J] the A'-reduction over the first factor's flag J
         right_ops = np.empty((nk, da, da), dtype=np.complex128)
         for k in range(nk):
-            x = (fa.vectors @ (u[:, k] * sqrt_lj) / root_p).reshape(da, db)
+            x = (vec_a @ (u[:, k] * sqrt_lj) / root_p).reshape(da, db)
             right_ops[k] = x @ x.conj().T
         left_ops = np.empty((nj, dap, dap), dtype=np.complex128)
         for j in range(nj):
-            x = (fb.vectors @ (u[j, :] * sqrt_lk) / root_p).reshape(dap, dbp)
+            x = (vec_b @ (u[j, :] * sqrt_lk) / root_p).reshape(dap, dbp)
             left_ops[j] = x @ x.conj().T
         t_right = np.einsum("kaa->k", right_ops).real
         t_left = np.einsum("jaa->j", left_ops).real
         w_right = lk * t_right
         w_left = lj * t_left
+        # one eigen-solve per stack serves the normalized and the literal sums
+        vals_right = np.clip(np.linalg.eigvalsh(right_ops), 0.0, None)
+        vals_left = np.clip(np.linalg.eigvalsh(left_ops), 0.0, None)
 
         s_hat = 0.0
         for k in range(nk):
             if t_right[k] > 1e-14:
-                vals = np.linalg.eigvalsh(right_ops[k]) / t_right[k]
-                s_hat += float(w_right[k]) * spectral_entropy(np.clip(vals, 0.0, None))
+                s_hat += float(w_right[k]) * spectral_entropy(vals_right[k] / t_right[k])
         gap_member = s_pair - s_hat - s_ap
 
-        lit_right = sum(
-            float(lk[k]) * spectral_entropy(np.clip(np.linalg.eigvalsh(right_ops[k]), 0.0, None))
-            for k in range(nk)
-        )
-        lit_left = sum(
-            float(lj[j]) * spectral_entropy(np.clip(np.linalg.eigvalsh(left_ops[j]), 0.0, None))
-            for j in range(nj)
-        )
+        lit_right = sum(float(lk[k]) * spectral_entropy(vals_right[k]) for k in range(nk))
+        lit_left = sum(float(lj[j]) * spectral_entropy(vals_left[j]) for j in range(nj))
         gap_q1 = s_pair - lit_right - lit_left
 
         nu = (np.abs(u) ** 2) * np.outer(lj, lk) / p
-        op_a_flag = np.einsum("k,kab,kcd->acbd", lk, right_ops, sig_k)
-        op_flag_ap = np.einsum("j,jab,jcd->acbd", lj, sig_j, left_ops)
-        op_flag_flag = np.einsum("jk,jab,kcd->acbd", nu, sig_j, sig_k)
-        daa = da * dap
-        term1 = spectral_entropy(np.clip(
-            np.linalg.eigvalsh(op_a_flag.reshape(daa, daa)), 0.0, None))
-        term2 = spectral_entropy(np.clip(
-            np.linalg.eigvalsh(op_flag_ap.reshape(daa, daa)), 0.0, None))
-        term3 = spectral_entropy(np.clip(
-            np.linalg.eigvalsh(op_flag_flag.reshape(daa, daa)), 0.0, None))
+        flagged = np.stack([
+            np.einsum("k,kab,kcd->acbd", lk, right_ops, sig_k),   # A / flag
+            np.einsum("j,jab,jcd->acbd", lj, sig_j, left_ops),    # flag / A'
+            np.einsum("jk,jab,kcd->acbd", nu, sig_j, sig_k),      # flag / flag
+        ]).reshape(3, da * dap, da * dap)
+        term1, term2, term3 = (spectral_entropy(np.clip(v, 0.0, None))
+                               for v in np.linalg.eigvalsh(flagged))
         gap_q2 = s_pair + term3 - term1 - term2
 
         out.append({
@@ -663,15 +579,15 @@ def check_case2(spec_a: Case2Spec, spec_b: Case2Spec, opts: EofOptions | None = 
     """
     _require_count("decomposition_samples", decomposition_samples)
     _require_count("members", members)
-    fa = factor_eig_from_case2(spec_a)
-    fb = factor_eig_from_case2(spec_b)
+    ens_a = case2_ensemble(spec_a)
+    ens_b = case2_ensemble(spec_b)
     per = []
     min_member = math.inf
     weight_err = 0.0
-    n = fa.count * fb.count
+    n = len(ens_a) * len(ens_b)
     for t in range(decomposition_samples):
         iso = random_isometry(max(int(members), n), n, [seed, t])
-        mem = product_decomposition_members(fa, fb, iso)
+        mem = product_decomposition_members(ens_a, ens_b, iso)
         gaps = [d["gap_member"] for d in mem]
         werr = max(abs(d["flag_weight_sum"] - 1.0) for d in mem)
         weight_err = max(weight_err, werr)
@@ -683,8 +599,8 @@ def check_case2(spec_a: Case2Spec, spec_b: Case2Spec, opts: EofOptions | None = 
         "member_slack": float(member_slack),
         "flag_weight_sum_error": float(weight_err),
         "block_eof": [
-            float(ensemble_average_entanglement(_block_ensemble(fa), (0,))),
-            float(ensemble_average_entanglement(_block_ensemble(fb), (0,))),
+            float(ensemble_average_entanglement(ens_a, (0,))),
+            float(ensemble_average_entanglement(ens_b, (0,))),
         ],
     }
     passed = min_member >= -member_slack and weight_err <= GAP_TOL
@@ -693,11 +609,11 @@ def check_case2(spec_a: Case2Spec, spec_b: Case2Spec, opts: EofOptions | None = 
         if opts is None:
             opts = EofOptions(restarts=6, seed=5)
         factor_opts = EofOptions(restarts=4, seed=opts.seed)
-        ens_a = _block_ensemble(fa)
-        ens_b = _block_ensemble(fb)
-        ef_a, _ = _pair_eof(fa.state(), [ens_a], factor_opts)
-        ef_b, _ = _pair_eof(fb.state(), [ens_b], factor_opts)
-        est = eof_minimize(tensor(fa.state(), fb.state()), (0, 2), opts,
+        rho_a = case2_factor(spec_a)
+        rho_b = case2_factor(spec_b)
+        ef_a, _ = _pair_eof(rho_a, [ens_a], factor_opts)
+        ef_b, _ = _pair_eof(rho_b, [ens_b], factor_opts)
+        est = eof_minimize(tensor(rho_a, rho_b), (0, 2), opts,
                            warm_starts=[product_ensemble(ens_a, ens_b)])
         residual = est.value - (ef_a + ef_b)
         extra.update({
@@ -712,11 +628,6 @@ def check_case2(spec_a: Case2Spec, spec_b: Case2Spec, opts: EofOptions | None = 
         max_abs_residual=None if residual is None else float(abs(residual)),
         passed=passed, per_sample=tuple(per), extra=extra,
     )
-
-
-def _block_ensemble(fe: FactorEig) -> Ensemble:
-    states = tuple(PureState(fe.dims, fe.vectors[:, j]) for j in range(fe.count))
-    return Ensemble(np.asarray(fe.weights, dtype=float), states)
 
 
 def check_weak_additivity(pairs: int = 10, seed: int = 0, slack: float = 2e-3,
@@ -844,13 +755,22 @@ def superadditivity_probe(source: str = "random", trials: int = 100, seed: int =
     )
 
 
+def _pinned_factor(obj) -> Ensemble:
+    if isinstance(obj, Ensemble):
+        return obj
+    if isinstance(obj, Case2Spec):
+        return case2_ensemble(obj)
+    raise TypeError(f"cannot pin a factor to a {type(obj).__name__}; "
+                    "pass an Ensemble or a Case2Spec")
+
+
 def _question_probe(name: str, key: str, factor_a, factor_b, trials: int,
                     members: int, seed: int, slack: float, dims, rank: int,
                     track_implication: bool) -> ProbeResult:
     _require_count("trials", trials)
     _require_count("members", members)
-    fixed_a = None if factor_a is None else as_factor_eig(factor_a)
-    fixed_b = None if factor_b is None else as_factor_eig(factor_b)
+    fixed_a = None if factor_a is None else _pinned_factor(factor_a)
+    fixed_b = None if factor_b is None else _pinned_factor(factor_b)
     per = []
     best_gap = math.inf
     argmin: dict = {}
@@ -858,11 +778,11 @@ def _question_probe(name: str, key: str, factor_a, factor_b, trials: int,
     min_other = math.inf
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        fa = fixed_a if fixed_a is not None else factor_eig_from_density(
+        fa = fixed_a if fixed_a is not None else eigen_ensemble(
             random_density_dims(dims, rank, rng))
-        fb = fixed_b if fixed_b is not None else factor_eig_from_density(
+        fb = fixed_b if fixed_b is not None else eigen_ensemble(
             random_density_dims(dims, rank, rng))
-        n = fa.count * fb.count
+        n = len(fa) * len(fb)
         m = max(int(members), n)
         iso = random_isometry(m, n, rng)
         mem = product_decomposition_members(fa, fb, iso)
@@ -880,8 +800,8 @@ def _question_probe(name: str, key: str, factor_a, factor_b, trials: int,
             argmin = {
                 "relation": name, "trial": t, "member": mem[at]["index"],
                 "gap": best_gap,
-                "factor_a": factor_eig_to_payload(fa),
-                "factor_b": factor_eig_to_payload(fb),
+                "factor_a": ensemble_to_payload(fa),
+                "factor_b": ensemble_to_payload(fb),
                 "isometry": {"shape": [int(m), int(n)],
                              "data": complex_to_pairs(iso.reshape(-1))},
             }
@@ -909,8 +829,9 @@ def probe_question1(factor_a=None, factor_b=None, trials: int = 100,
     flag components (gap_question1 of product_decomposition_members).  A
     negative gap answers the corresponding strengthening of pair
     superadditivity in the negative for decomposition members.  Factors
-    default to fresh random states per trial; pass states, flagged-mixture
-    specs, or FactorEig values to pin them.
+    default to the eigen-ensembles of fresh random states per trial; pass
+    an Ensemble (its members are the flags) or a flagged-mixture spec (its
+    block ensemble) to pin one.
     """
     return _question_probe("question1", "gap_question1", factor_a, factor_b,
                            trials, members, seed, slack, dims, rank, False)
@@ -941,8 +862,8 @@ def reevaluate_argmin(payload: dict, opts: EofOptions | None = None) -> float:
         gap, _ = pair_superadditivity_gap(psi, opts)
         return gap
     if relation in ("question1", "question2"):
-        fa = payload_to_factor_eig(payload["factor_a"])
-        fb = payload_to_factor_eig(payload["factor_b"])
+        fa = payload_to_ensemble(payload["factor_a"])
+        fb = payload_to_ensemble(payload["factor_b"])
         shape = payload["isometry"]["shape"]
         iso = pairs_to_complex(payload["isometry"]["data"]).reshape(shape)
         idx = int(payload["member"])

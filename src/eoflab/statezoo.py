@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .ensembles import Ensemble
 from .qmat import ShapeError, as_cmatrix
 from .qstate import DensityMatrix, PureState
 
@@ -161,6 +162,16 @@ def case2_factor(spec: Case2Spec) -> DensityMatrix:
         v = b.vector(spec.d_a, spec.d_b)
         out += b.weight * np.outer(v, v.conj())
     return DensityMatrix((spec.d_a, spec.d_b), out)
+
+
+def case2_ensemble(spec: Case2Spec) -> Ensemble:
+    """Blocks above weight 1e-12, renormalized; unlike an eigensolver's basis,
+    the block vectors keep disjoint local supports."""
+    keep = [b for b in spec.blocks if b.weight > 1e-12]
+    w = np.array([b.weight for b in keep])
+    dims = (spec.d_a, spec.d_b)
+    states = tuple(PureState(dims, b.vector(*dims)) for b in keep)
+    return Ensemble(w / float(w.sum()), states)
 
 
 def two_block_spec(product_weight: float, d: int = 3) -> Case2Spec:

@@ -257,6 +257,26 @@ class TestConfig:
         assert code == 2
         assert "key=value" in err
 
+    @pytest.mark.parametrize("argv, line", [
+        (("verify", "ssa", "--samples", "2"), "trails=7"),
+        (("probe", "question1", "--trials", "2"), "restarts=3"),
+    ], ids=["typo", "option-of-another-command"])
+    def test_unknown_key_is_an_error(self, tmp_path, capsys, argv, line):
+        cfg = tmp_path / "eof.cfg"
+        cfg.write_text(f"samples=3\n{line}\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert repr(line.partition("=")[0]) in err
+
+    def test_config_value_uses_the_option_type(self, tmp_path, capsys):
+        cfg = tmp_path / "eof.cfg"
+        cfg.write_text("samples=six\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "flagged", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "verify", "flagged", "--config",
                            "/nonexistent.cfg")

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eoflab import (
     DensityMatrix,
     Ensemble,
     PureState,
     ShapeError,
+    eigen_ensemble,
     flagged_state,
     hjw_ensemble,
     isometry_for_ensemble,
@@ -23,6 +26,7 @@ from eoflab.ensembles import (
     load_ensemble,
     payload_to_ensemble,
     save_ensemble,
+    support_decomposition,
 )
 from eoflab.statezoo import (
     random_density,
@@ -36,6 +40,17 @@ def ket(dims, index):
     v = np.zeros(math.prod(dims) if isinstance(dims, tuple) else dims)
     v[index] = 1.0
     return PureState(dims if isinstance(dims, tuple) else (dims,), v)
+
+
+@st.composite
+def state_and_isometry(draw):
+    """A seeded density on 1-2 subsystems of dimension 2-3, and an m x rank isometry."""
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=1, max_size=2)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rho = random_density_dims(dims, draw(st.integers(1, math.prod(dims))), seed)
+    rank = support_decomposition(rho)[0].size
+    m = draw(st.integers(rank, rank + 4))
+    return rho, random_isometry(m, rank, [seed, 1])
 
 
 class TestHjwEnsemble:
@@ -65,6 +80,15 @@ class TestHjwEnsemble:
         u = random_isometry(8, 3, seed + 100)
         e = hjw_ensemble(rho, u)
         np.testing.assert_allclose(mix(e).mat, rho.mat, atol=1e-9)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=state_and_isometry())
+    def test_mix_round_trip_generated(self, case):
+        # every ensemble the isometry map reaches mixes back to rho, and so
+        # does the eigen-ensemble it starts from
+        rho, u = case
+        for e in (hjw_ensemble(rho, u), eigen_ensemble(rho)):
+            np.testing.assert_allclose(mix(e).mat, rho.mat, atol=1e-9)
 
     def test_weight_formula(self):
         # oracle: p_i = sum_j |u_ij|^2 lam_j against the actual member weights

@@ -13,12 +13,12 @@ from eoflab import (
     Case1Spec,
     CheckReport,
     DensityMatrix,
+    Ensemble,
     EofOptions,
     eof_minimize,
-    FactorEig,
     ProbeResult,
-    as_factor_eig,
     case1_suite,
+    case2_ensemble,
     check_case1,
     check_case2,
     check_flagged_identity,
@@ -26,9 +26,9 @@ from eoflab import (
     check_strong_concavity,
     check_weak_additivity,
     classical_spec,
+    eigen_ensemble,
     eof_wootters_2q,
-    factor_eig_from_case2,
-    factor_eig_from_density,
+    mix,
     pair_superadditivity_gap,
     probe_question1,
     probe_question2,
@@ -44,13 +44,9 @@ from eoflab import (
     two_block_spec,
     werner_state,
 )
-from eoflab.probes import (
-    _pair_eof,
-    factor_eig_to_payload,
-    payload_to_factor_eig,
-)
+from eoflab.probes import _pair_eof
 from eoflab.qmat import ShapeError
-from eoflab.qstate import NormalizationError, PureState, reduced_state
+from eoflab.qstate import PureState, reduced_state
 from eoflab.statezoo import random_density_dims, random_isometry
 
 
@@ -61,7 +57,7 @@ def entangled_pure(theta):
 
 def random_factor(seed):
     rng = np.random.default_rng(seed)
-    return factor_eig_from_density(random_density_dims((2, 2), 2, rng))
+    return eigen_ensemble(random_density_dims((2, 2), 2, rng))
 
 
 @functools.cache
@@ -258,54 +254,24 @@ class TestCase1Check:
 
 
 class TestFactorEig:
+    # a factor given by a density is its eigen-ensemble
     def test_from_density_round_trip(self):
         rho = random_density_dims((2, 3), 3, 4)
-        fe = factor_eig_from_density(rho)
-        assert np.allclose(fe.state().mat, rho.mat, atol=1e-10)
+        fe = eigen_ensemble(rho)
+        assert len(fe) == 3
+        assert np.allclose(mix(fe).mat, rho.mat, atol=1e-10)
         assert fe.weights.sum() == pytest.approx(1.0)
-
-    def test_from_flagged_spec_keeps_block_basis(self):
-        fe = factor_eig_from_case2(two_block_spec(0.3))
-        assert fe.count == 2
-        assert sorted(fe.weights) == pytest.approx([0.3, 0.7])
-        flags = fe.left_flags()
-        assert flags.shape == (2, 3, 3)
-        # block vectors have disjoint left supports
-        assert abs(flags[0] @ flags[1]).max() < 1e-12
-
-    def test_weight_validation(self):
-        v = np.eye(4)[:, :2]
-        with pytest.raises(NormalizationError):
-            FactorEig((2, 2), [0.5, 0.6], v)
-        with pytest.raises(ValueError):
-            FactorEig((2, 2), [1.0, 0.0], v)
-
-    def test_vector_validation(self):
-        with pytest.raises(ValueError):
-            FactorEig((2, 2), [0.5, 0.5], np.ones((4, 2)))
-        with pytest.raises(ShapeError):
-            FactorEig((2, 2), [0.5, 0.5], np.eye(3)[:, :2])
-
-    def test_payload_round_trip(self):
-        fe = random_factor(9)
-        back = payload_to_factor_eig(factor_eig_to_payload(fe))
-        assert back.dims == fe.dims
-        assert np.allclose(back.weights, fe.weights)
-        assert np.allclose(back.vectors, fe.vectors)
-
-    def test_as_factor_eig_dispatch(self):
-        fe = random_factor(2)
-        assert as_factor_eig(fe) is fe
-        assert as_factor_eig(two_block_spec(0.5)).count == 2
-        assert as_factor_eig(werner_state(2, -0.85)).count == 4
-        with pytest.raises(TypeError):
-            as_factor_eig([0.5, 0.5])
+        vecs = np.stack([s.vec for s in fe.states], axis=1)
+        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(3), atol=1e-12)
+        # and it is accepted as a factor of a product decomposition
+        mem = product_decomposition_members(fe, fe, np.eye(9))
+        assert sum(d["p"] for d in mem) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestProductDecompositionMembers:
     def test_probabilities_and_flag_weights(self):
         fa, fb = random_factor(11), random_factor(12)
-        iso = random_isometry(8, fa.count * fb.count, 13)
+        iso = random_isometry(8, len(fa) * len(fb), 13)
         mem = product_decomposition_members(fa, fb, iso)
         assert sum(d["p"] for d in mem) == pytest.approx(1.0, abs=1e-10)
         for d in mem:
@@ -318,18 +284,19 @@ class TestProductDecompositionMembers:
         # operator comparison is an equality, and all three flagged-operator
         # entropies split into known sums
         fa, fb = random_factor(3), random_factor(4)
-        sj, sk = fa.left_flags(), fb.left_flags()
+        sj = [reduced_state(s, (0,)).mat for s in fa.states]
+        sk = [reduced_state(s, (0,)).mat for s in fb.states]
 
         def ent(m):
             return spectral_entropy(np.clip(np.linalg.eigvalsh(m), 0.0, None))
 
-        mem = product_decomposition_members(fa, fb, np.eye(fa.count * fb.count))
-        assert len(mem) == fa.count * fb.count
+        mem = product_decomposition_members(fa, fb, np.eye(len(fa) * len(fb)))
+        assert len(mem) == len(fa) * len(fb)
         for d in mem:
-            j, k = divmod(d["index"], fb.count)
+            j, k = divmod(d["index"], len(fb))
             wj, wk = fa.weights[j], fb.weights[k]
-            x = fa.vectors[:, j].reshape(fa.dims)
-            y = fb.vectors[:, k].reshape(fb.dims)
+            x = fa.states[j].vec.reshape(fa.dims)
+            y = fb.states[k].vec.reshape(fb.dims)
             assert d["p"] == pytest.approx(wj * wk, abs=1e-12)
             assert d["gap_member"] == pytest.approx(0.0, abs=1e-9)
             assert d["gap_question1"] == pytest.approx(-math.log2(wj * wk), abs=1e-9)
@@ -342,10 +309,10 @@ class TestProductDecompositionMembers:
                 ent(sj[j]) + ent(sk[k]), abs=1e-9)
 
     def test_flagged_family_member_bound_holds(self):
-        fe = factor_eig_from_case2(two_block_spec(0.5))
+        blocks = case2_ensemble(two_block_spec(0.5))
         for t in range(6):
             mem = product_decomposition_members(
-                fe, fe, random_isometry(8, 4, [31, t]))
+                blocks, blocks, random_isometry(8, 4, [31, t]))
             for d in mem:
                 assert d["gap_member"] >= -1e-9
                 assert d["gap_question1"] >= -1e-9
@@ -355,16 +322,39 @@ class TestProductDecompositionMembers:
         # the operator comparison is the stronger statement member by member
         for t in range(8):
             rng = np.random.default_rng([77, t])
-            fa = factor_eig_from_density(random_density_dims((2, 2), 2, rng))
-            fb = factor_eig_from_density(random_density_dims((2, 2), 2, rng))
-            iso = random_isometry(8, fa.count * fb.count, rng)
+            fa = eigen_ensemble(random_density_dims((2, 2), 2, rng))
+            fb = eigen_ensemble(random_density_dims((2, 2), 2, rng))
+            iso = random_isometry(8, len(fa) * len(fb), rng)
             for d in product_decomposition_members(fa, fb, iso):
                 assert d["gap_question1"] >= d["gap_question2"] - 1e-9
 
     def test_column_count_guard(self):
         fa, fb = random_factor(1), random_factor(2)
         with pytest.raises(ShapeError):
-            product_decomposition_members(fa, fb, np.eye(fa.count * fb.count + 1))
+            product_decomposition_members(fa, fb, np.eye(len(fa) * len(fb) + 1))
+
+    def test_rejects_non_orthonormal_factor(self):
+        plus = PureState((2, 2), np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2))
+        skew = Ensemble([0.5, 0.5], (PureState((2, 2), np.eye(4)[0]), plus))
+        fb = random_factor(2)
+        with pytest.raises(ValueError, match="isometry defect"):
+            product_decomposition_members(skew, fb, np.eye(len(skew) * len(fb)))
+
+    def test_rejects_non_bipartite_factor(self):
+        tri = eigen_ensemble(random_density_dims((2, 2, 2), 2, 5))
+        fb = random_factor(2)
+        with pytest.raises(ShapeError):
+            product_decomposition_members(tri, fb, np.eye(len(tri) * len(fb)))
+
+    @pytest.mark.parametrize("weight", [0.0, -1e-13])
+    def test_rejects_non_positive_weight(self, weight):
+        # Ensemble accepts both weights; the amplitudes take their square root
+        basis = np.eye(4)
+        fa = Ensemble([1.0 - weight, weight],
+                      (PureState((2, 2), basis[0]), PureState((2, 2), basis[3])))
+        fb = random_factor(2)
+        with pytest.raises(ValueError, match="strictly positive"):
+            product_decomposition_members(fa, fb, np.eye(len(fa) * len(fb)))
 
 
 class TestCase2Check:
@@ -502,6 +492,16 @@ class TestQuestionProbes:
         assert not r2.violation_found
         assert abs(r2.min_gap) <= 1e-8
         assert r1.extra["fixed_factors"] == [True, True]
+
+    def test_pinned_factor_kinds(self):
+        # a spec pins its block ensemble; any other kind of factor is refused
+        spec = two_block_spec(0.5)
+        blocks = case2_ensemble(spec)
+        by_spec = probe_question1(spec, spec, trials=3, seed=0)
+        assert probe_question1(blocks, blocks, trials=3, seed=0).to_json() == by_spec.to_json()
+        for bad in (werner_state(2, -0.85), [0.5, 0.5]):
+            with pytest.raises(TypeError):
+                probe_question1(bad, trials=1)
 
     def test_deterministic_reports(self):
         a = probe_question1(trials=6, seed=4).to_json()

@@ -12,9 +12,11 @@ from eoflab import (
     Case2Spec,
     ConstraintError,
     case1_state,
+    case2_ensemble,
     case2_factor,
     classical_spec,
     eof_wootters_2q,
+    mix,
     partial_trace,
     random_density,
     random_isometry,
@@ -93,6 +95,21 @@ class TestCase2:
         bell[4] = bell[8] = 1 / math.sqrt(2)
         assert (v00 @ rho.mat @ v00).real == pytest.approx(0.3, abs=1e-12)
         assert (bell @ rho.mat @ bell).real == pytest.approx(0.7, abs=1e-12)
+
+    def test_case2_ensemble_keeps_block_basis(self):
+        spec = two_block_spec(0.3)
+        blocks = case2_ensemble(spec)
+        np.testing.assert_allclose(blocks.weights, [0.3, 0.7], atol=1e-15)
+        np.testing.assert_allclose(mix(blocks).mat, case2_factor(spec).mat, atol=1e-15)
+        # block vectors have disjoint left supports
+        left = [reduced_state(s, (0,)).mat for s in blocks.states]
+        assert abs(left[0] @ left[1]).max() < 1e-12
+
+    def test_case2_ensemble_drops_zero_weight_block(self):
+        blocks = case2_ensemble(two_block_spec(0.0))
+        assert len(blocks) == 1
+        assert blocks.weights[0] == 1.0
+        np.testing.assert_allclose(blocks.states[0].vec[[4, 8]], [1 / math.sqrt(2)] * 2)
 
     def test_single_block_is_pure(self):
         amp = np.array([[math.sqrt(0.8), 0.0], [0.0, math.sqrt(0.2)]])
