@@ -79,12 +79,19 @@ def _load_config(path: str) -> dict[str, str]:
 def _apply_config(parser: argparse.ArgumentParser, commands: dict, command: str,
                   config: dict[str, str], path: str) -> None:
     """Make string defaults of the config values, for argparse to convert
-    with each option's own type on the next parse; flags still win."""
-    sub, keys = commands[command]
-    unknown = sorted(set(config) - keys)
+    with each option's own type on the next parse; flags still win.
+
+    argparse checks `choices` on command-line values only, so a config
+    value is checked against its option's choices here."""
+    sub, choices = commands[command]
+    unknown = sorted(set(config) - set(choices))
     if unknown:
         raise ValueError(f"{path}: 'eof {command}' has no option for "
                          f"{', '.join(map(repr, unknown))}")
+    for key, value in sorted(config.items()):
+        if choices[key] is not None and value not in choices[key]:
+            raise ValueError(f"{path}: {key}={value!r} is not one of "
+                             f"{', '.join(map(repr, choices[key]))}")
     # a top-level default, so that --format on either side of the subcommand wins
     parser.set_defaults(format=config.pop("format", None))
     sub.set_defaults(**config)
@@ -288,28 +295,34 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+_FORMATS = ("json", "csv")
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and per subcommand its parser and the keys --config may set."""
+    """The parser, and per subcommand its parser and the keys --config may set,
+    each with its option's choices."""
     parser = argparse.ArgumentParser(
         prog="eof",
         description="Entanglement of formation: computation, verification, probes.",
     )
     parser.add_argument("--config", help="key=value file of option defaults")
-    parser.add_argument("--format", choices=("json", "csv"),
+    parser.add_argument("--format", choices=_FORMATS,
                         help="report format on stdout (default json)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    config_keys: dict[argparse.ArgumentParser, set[str]] = {}
+    # per subcommand parser: option dest -> its choices (None: any value)
+    config_keys: dict[argparse.ArgumentParser, dict[str, tuple | None]] = {}
 
     def opt(p, *names, **kw):
         kw.setdefault("default", None)
-        config_keys.setdefault(p, {"format"}).add(p.add_argument(*names, **kw).dest)
+        action = p.add_argument(*names, **kw)
+        config_keys.setdefault(p, {"format": _FORMATS})[action.dest] = action.choices
 
     def common(p):
         # accepted after the subcommand too; SUPPRESS keeps an unset
         # subcommand flag from clobbering a value parsed before it
         p.add_argument("--config", default=argparse.SUPPRESS)
-        p.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
+        p.add_argument("--format", choices=_FORMATS, default=argparse.SUPPRESS)
 
     p = sub.add_parser("compute", help="EoF of a saved state across a cut")
     common(p)

@@ -42,6 +42,7 @@ from .qstate import (
     DensityMatrix,
     PureState,
     cut_permutation,
+    density_spectra,
     schmidt,
     spectral_entropy,
 )
@@ -119,17 +120,36 @@ def _eof_from_concurrence(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, c * ratio / _LN2
 
 
-def concurrence_2q(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence, from the factor X = V sqrt(w) of rho's eigh."""
+def _concurrence_stack(mats: np.ndarray) -> np.ndarray:
+    """Concurrences of a (N, 4, 4) stack of two-qubit density operators.
+
+    The operators pass DensityMatrix's checks (`density_spectra`), and the
+    factor X = V sqrt(w) of each one's eigh goes to `concurrence_factors`.
+    """
+    w, v = density_spectra(mats, vectors=True)
+    return concurrence_factors(v * np.sqrt(np.maximum(w, 0.0))[..., None, :])
+
+
+def eof_wootters_stack(mats: np.ndarray) -> np.ndarray:
+    """Exact two-qubit EoF of each operator in a (N, 4, 4) stack of density matrices."""
+    return _eof_from_concurrence(_concurrence_stack(mats))[0]
+
+
+def _require_two_qubits(rho: DensityMatrix) -> None:
     if rho.dims != (2, 2):
         raise ValueError(f"two-qubit closed form needs dims (2, 2), got {rho.dims}")
-    w, v = np.linalg.eigh((rho.mat + rho.mat.conj().T) / 2)
-    return float(concurrence_factors(v * np.sqrt(np.maximum(w, 0.0))))
+
+
+def concurrence_2q(rho: DensityMatrix) -> float:
+    """Two-qubit concurrence, from the factor X = V sqrt(w) of rho's eigh."""
+    _require_two_qubits(rho)
+    return float(_concurrence_stack(rho.mat[None])[0])
 
 
 def eof_wootters_2q(rho: DensityMatrix) -> float:
     """Exact two-qubit EoF via the concurrence closed form."""
-    return float(_eof_from_concurrence(concurrence_2q(rho))[0])
+    _require_two_qubits(rho)
+    return float(eof_wootters_stack(rho.mat[None])[0])
 
 
 def entropy_value_grad(x: np.ndarray) -> tuple[float, np.ndarray]:

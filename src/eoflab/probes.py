@@ -7,6 +7,12 @@ can be archived, diffed, and re-verified, and every reported candidate
 violation carries enough data (`argmin`) to be recomputed from scratch
 with `reevaluate_argmin`.  Every decomposition here is an `Ensemble`, and
 an argmin stores one in the ensemble-file layout.
+
+The probes evaluate the members of a trial as one stack, not one state at a
+time: `product_decomposition_members` and `pair_superadditivity_gap` make
+one reduction per cut and one eigen-solve per stack, and a member's values
+do not depend on the stack it came in, so re-evaluating an argmin member
+alone gives the same bits.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .eof import (
     entropy_value_grad,
     eof_minimize,
     eof_wootters_2q,
+    eof_wootters_stack,
     minimize_over_decompositions,
     wootters_value_grad,
 )
@@ -46,10 +53,13 @@ from .qmat import ShapeError
 from .qstate import (
     DensityMatrix,
     PureState,
+    check_state_vectors,
     complex_to_pairs,
+    density_spectra,
     pairs_to_complex,
     partial_trace,
     payload_to_state,
+    reduced_operators,
     reduced_state,
     shannon_entropy,
     spectral_entropy,
@@ -473,6 +483,9 @@ def product_decomposition_members(fa: Ensemble, fb: Ensemble, iso) -> list[dict]
       gap_question2  S(rho_AA') + S(flag/flag mixture) - S(A/flag mixture)
                      - S(flag/A' mixture), an SSA-shaped comparison of the
                      three trace-one flagged operators (terms in entry)
+
+    The kept members are built and evaluated as one stack, with
+    PureState's and DensityMatrix's checks on every member and reduction.
     """
     for f in (fa, fb):
         if len(f.dims) != 2:
@@ -488,79 +501,71 @@ def product_decomposition_members(fa: Ensemble, fb: Ensemble, iso) -> list[dict]
     lj, lk = fa.weights, fb.weights
     da, db = fa.dims
     dap, dbp = fb.dims
+    dims = (da, db, dap, dbp)
     # flag reductions: the left reduction of each factor member
     xa = vec_a.T.reshape(nj, da, db)
     xb = vec_b.T.reshape(nk, dap, dbp)
     sig_j = np.einsum("nab,ncb->nac", xa, xa.conj())
     sig_k = np.einsum("nab,ncb->nac", xb, xb.conj())
-    sqrt_l = np.sqrt(np.outer(lj, lk))
-    sqrt_lj = np.sqrt(lj)
-    sqrt_lk = np.sqrt(lk)
 
-    out = []
-    for i in range(iso.shape[0]):
-        u = iso[i].reshape(nj, nk)
-        amp = u * sqrt_l
-        p = float((np.abs(amp) ** 2).sum())
-        if p <= 1e-14:
-            continue
-        root_p = math.sqrt(p)
-        mat = vec_a @ (amp / root_p) @ vec_b.T
-        psi = PureState((da, db, dap, dbp), mat.reshape(-1))
-        s_pair = von_neumann_entropy(reduced_state(psi, (0, 2)))
-        s_ap = von_neumann_entropy(reduced_state(psi, (2,)))
+    # every kept member at once: axis 0 of each stack runs over the members
+    u = iso.reshape(-1, nj, nk)
+    amp = u * np.sqrt(np.outer(lj, lk))
+    p = (np.abs(amp) ** 2).sum(axis=(1, 2))
+    index = np.flatnonzero(p > 1e-14)
+    u, amp, p = u[index], amp[index], p[index]
+    root_p = np.sqrt(p)
+    vecs = (vec_a @ (amp / root_p[:, None, None]) @ vec_b.T).reshape(len(index), -1)
+    check_state_vectors(dims, vecs)
+    s_pair = spectral_entropy(density_spectra(reduced_operators(vecs, dims, (0, 2))))
+    s_ap = spectral_entropy(density_spectra(reduced_operators(vecs, dims, (2,))))
 
-        # flag-resolved components: right_ops[K] is the A-reduction of the
-        # (subnormalized) piece of psi lying over the second factor's flag K,
-        # left_ops[J] the A'-reduction over the first factor's flag J
-        right_ops = np.empty((nk, da, da), dtype=np.complex128)
-        for k in range(nk):
-            x = (vec_a @ (u[:, k] * sqrt_lj) / root_p).reshape(da, db)
-            right_ops[k] = x @ x.conj().T
-        left_ops = np.empty((nj, dap, dap), dtype=np.complex128)
-        for j in range(nj):
-            x = (vec_b @ (u[j, :] * sqrt_lk) / root_p).reshape(dap, dbp)
-            left_ops[j] = x @ x.conj().T
-        t_right = np.einsum("kaa->k", right_ops).real
-        t_left = np.einsum("jaa->j", left_ops).real
-        w_right = lk * t_right
-        w_left = lj * t_left
-        # one eigen-solve per stack serves the normalized and the literal sums
-        vals_right = np.clip(np.linalg.eigvalsh(right_ops), 0.0, None)
-        vals_left = np.clip(np.linalg.eigvalsh(left_ops), 0.0, None)
+    # flag-resolved components: right_ops[:, K] is the A-reduction of the
+    # (subnormalized) piece of psi lying over the second factor's flag K,
+    # left_ops[:, J] the A'-reduction over the first factor's flag J.  Each
+    # piece is a mat-vec product divided by sqrt(p) after the product: a
+    # matrix-matrix product, or dividing first, moves fields in the last bits
+    right = np.ascontiguousarray((u * np.sqrt(lj)[:, None]).transpose(0, 2, 1))
+    x = (vec_a @ right[..., None] / root_p[:, None, None, None]).reshape(-1, nk, da, db)
+    right_ops = x @ np.swapaxes(x.conj(), -1, -2)
+    x = (vec_b @ (u * np.sqrt(lk))[..., None] / root_p[:, None, None, None])
+    x = x.reshape(-1, nj, dap, dbp)
+    left_ops = x @ np.swapaxes(x.conj(), -1, -2)
+    t_right = np.einsum("...kaa->...k", right_ops).real
+    t_left = np.einsum("...jaa->...j", left_ops).real
+    w_right = lk * t_right
+    w_left = lj * t_left
+    # one eigen-solve per stack serves the normalized and the literal sums
+    vals_right = np.clip(np.linalg.eigvalsh(right_ops), 0.0, None)
+    vals_left = np.clip(np.linalg.eigvalsh(left_ops), 0.0, None)
 
-        s_hat = 0.0
-        for k in range(nk):
-            if t_right[k] > 1e-14:
-                s_hat += float(w_right[k]) * spectral_entropy(vals_right[k] / t_right[k])
-        gap_member = s_pair - s_hat - s_ap
+    live = t_right > 1e-14
+    normalized = spectral_entropy(vals_right / np.where(live, t_right, 1.0)[..., None])
+    s_hat = np.where(live, w_right * normalized, 0.0).sum(axis=-1)
+    gap_member = s_pair - s_hat - s_ap
 
-        lit_right = sum(float(lk[k]) * spectral_entropy(vals_right[k]) for k in range(nk))
-        lit_left = sum(float(lj[j]) * spectral_entropy(vals_left[j]) for j in range(nj))
-        gap_q1 = s_pair - lit_right - lit_left
+    lit_right = (lk * spectral_entropy(vals_right)).sum(axis=-1)
+    lit_left = (lj * spectral_entropy(vals_left)).sum(axis=-1)
+    gap_q1 = s_pair - lit_right - lit_left
 
-        nu = (np.abs(u) ** 2) * np.outer(lj, lk) / p
-        flagged = np.stack([
-            np.einsum("k,kab,kcd->acbd", lk, right_ops, sig_k),   # A / flag
-            np.einsum("j,jab,jcd->acbd", lj, sig_j, left_ops),    # flag / A'
-            np.einsum("jk,jab,kcd->acbd", nu, sig_j, sig_k),      # flag / flag
-        ]).reshape(3, da * dap, da * dap)
-        term1, term2, term3 = (spectral_entropy(np.clip(v, 0.0, None))
-                               for v in np.linalg.eigvalsh(flagged))
-        gap_q2 = s_pair + term3 - term1 - term2
+    nu = (np.abs(u) ** 2) * np.outer(lj, lk) / p[:, None, None]
+    flagged = np.stack([
+        np.einsum("k,mkab,kcd->macbd", lk, right_ops, sig_k),   # A / flag
+        np.einsum("j,jab,mjcd->macbd", lj, sig_j, left_ops),    # flag / A'
+        np.einsum("mjk,jab,kcd->macbd", nu, sig_j, sig_k),      # flag / flag
+    ], axis=1).reshape(-1, 3, da * dap, da * dap)
+    term1, term2, term3 = spectral_entropy(np.clip(np.linalg.eigvalsh(flagged), 0.0, None)).T
+    gap_q2 = s_pair + term3 - term1 - term2
 
-        out.append({
-            "index": i, "p": float(p),
-            "entropy_pair": float(s_pair), "entropy_a_prime": float(s_ap),
-            "gap_member": float(gap_member),
-            "gap_question1": float(gap_q1),
-            "gap_question2": float(gap_q2),
-            "term_a_flag": float(term1), "term_flag_a_prime": float(term2),
-            "term_flag_flag": float(term3),
-            "flag_weight_sum": float(w_right.sum()),
-            "flag_weight_sum_left": float(w_left.sum()),
-        })
-    return out
+    columns = {
+        "p": p, "entropy_pair": s_pair, "entropy_a_prime": s_ap,
+        "gap_member": gap_member, "gap_question1": gap_q1, "gap_question2": gap_q2,
+        "term_a_flag": term1, "term_flag_a_prime": term2, "term_flag_flag": term3,
+        "flag_weight_sum": w_right.sum(axis=-1),
+        "flag_weight_sum_left": w_left.sum(axis=-1),
+    }
+    return [{"index": int(i), **{key: float(col[n]) for key, col in columns.items()}}
+            for n, i in enumerate(index)]
 
 
 def check_case2(spec_a: Case2Spec, spec_b: Case2Spec, opts: EofOptions | None = None,
@@ -679,24 +684,44 @@ def check_weak_additivity(pairs: int = 10, seed: int = 0, slack: float = 2e-3,
 # ---------------------------------------------------------------------------
 # counterexample searches
 
-def pair_superadditivity_gap(psi: PureState, opts: EofOptions | None = None):
-    """S(rho_AA') - E_f(rho_AB) - E_f(rho_A'B') for a four-party pure state.
+def pair_superadditivity_gap(states: PureState | Sequence[PureState],
+                             opts: EofOptions | None = None) -> list[tuple[float, dict]]:
+    """S(rho_AA') - E_f(rho_AB) - E_f(rho_A'B') for a stack of four-party pure states.
 
-    Parties are ordered (A, B, A', B').  Returns (gap, detail); detail's
-    exact_terms says whether both EoF terms used the closed two-qubit form
-    (otherwise they are upper bounds and the gap a lower bound).
+    Parties are ordered (A, B, A', B'); every state in the stack has the same
+    dims, and a single PureState is a stack of one.  The stack is evaluated
+    in one pass: one reduction per cut, one eigen-solve per stack, and the
+    closed two-qubit form on the whole stack for a pair of dims (2, 2); a
+    pair of other dims falls back to a search per state.  Returns one
+    (gap, detail) per state; detail's exact_terms says whether both EoF
+    terms used the closed form (otherwise they are upper bounds and the gap
+    a lower bound).
     """
-    if len(psi.dims) != 4:
-        raise ShapeError(f"need four subsystems, got dims {psi.dims}")
-    s_pair = von_neumann_entropy(reduced_state(psi, (0, 2)))
-    ef_ab, exact1 = _pair_eof(reduced_state(psi, (0, 1)), (), opts)
-    ef_apbp, exact2 = _pair_eof(reduced_state(psi, (2, 3)), (), opts)
-    gap = s_pair - ef_ab - ef_apbp
-    detail = {
-        "entropy_pair": float(s_pair), "eof_ab": float(ef_ab),
-        "eof_a_prime_b_prime": float(ef_apbp), "exact_terms": bool(exact1 and exact2),
-    }
-    return float(gap), detail
+    states = [states] if isinstance(states, PureState) else list(states)
+    if not states:
+        raise ValueError("need at least one state")
+    dims = states[0].dims
+    if len(dims) != 4:
+        raise ShapeError(f"need four subsystems, got dims {dims}")
+    if any(s.dims != dims for s in states):
+        raise ShapeError(f"every state in the stack needs dims {dims}")
+    vecs = np.stack([s.vec for s in states])
+    s_pair = spectral_entropy(density_spectra(reduced_operators(vecs, dims, (0, 2))))
+    eofs = []
+    for cut in ((0, 1), (2, 3)):
+        mats = reduced_operators(vecs, dims, cut)
+        pair_dims = tuple(dims[i] for i in cut)
+        if pair_dims == (2, 2):
+            eofs.append((eof_wootters_stack(mats), True))
+        else:
+            values = [eof_minimize(DensityMatrix(pair_dims, m), (0,), opts).value for m in mats]
+            eofs.append((np.array(values), False))
+    (ef_ab, exact1), (ef_apbp, exact2) = eofs
+    gaps = s_pair - ef_ab - ef_apbp
+    return [(float(gaps[n]), {
+        "entropy_pair": float(s_pair[n]), "eof_ab": float(ef_ab[n]),
+        "eof_a_prime_b_prime": float(ef_apbp[n]), "exact_terms": exact1 and exact2,
+    }) for n in range(len(states))]
 
 
 def superadditivity_probe(source: str = "random", trials: int = 100, seed: int = 0,
@@ -728,13 +753,8 @@ def superadditivity_probe(source: str = "random", trials: int = 100, seed: int =
             m = int(rng.integers(rank_w, 2 * rank_w + 1))
             ens = hjw_ensemble(rho_w, random_isometry(m, rank_w, rng))
             candidates = [s for _, s in ens]
-        gaps = []
-        details = []
-        for c in candidates:
-            g, d = pair_superadditivity_gap(c)
-            gaps.append(g)
-            details.append(d)
-            exact_all = exact_all and d["exact_terms"]
+        gaps, details = zip(*pair_superadditivity_gap(candidates))
+        exact_all = exact_all and all(d["exact_terms"] for d in details)
         idx = int(np.argmin(gaps))
         per.append({"trial": t, "gap": float(gaps[idx]), "members": len(candidates)})
         if gaps[idx] < best_gap:
@@ -859,8 +879,7 @@ def reevaluate_argmin(payload: dict, opts: EofOptions | None = None) -> float:
         psi = payload_to_state(payload["state"])
         if not isinstance(psi, PureState):
             raise TypeError("superadditivity argmin must embed a pure state")
-        gap, _ = pair_superadditivity_gap(psi, opts)
-        return gap
+        return pair_superadditivity_gap(psi, opts)[0][0]
     if relation in ("question1", "question2"):
         fa = payload_to_ensemble(payload["factor_a"])
         fb = payload_to_ensemble(payload["factor_b"])

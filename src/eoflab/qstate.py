@@ -21,7 +21,6 @@ from .qmat import (
     ShapeError,
     SizeError,
     as_cmatrix,
-    herm_defect,
 )
 
 EIG_FLOOR = 1e-12
@@ -42,6 +41,49 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
+def density_spectra(mats: np.ndarray, vectors: bool = False):
+    """Eigen-solve a (N, d, d) stack of density operators, with DensityMatrix's checks.
+
+    Each operator must be Hermitian and of unit trace within 1e-9.  Its
+    Hermitian part (M + M^dagger)/2 is diagonalized (eigvalsh, or eigh when
+    `vectors` is true), and every eigenvalue must be >= -1e-9.  DensityMatrix
+    runs these checks on a stack of one.
+    """
+    adj = np.swapaxes(mats.conj(), -1, -2)
+    if mats.size and float(np.abs(mats - adj).max()) > STATE_TOL:
+        raise ValueError("density matrix is not Hermitian within 1e-9")
+    tr = np.trace(mats, axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0) > STATE_TOL
+    if off.any():
+        raise NormalizationError(f"trace {float(tr[off][0])!r} is not 1 within 1e-9")
+    herm = (mats + adj) / 2
+    if vectors:
+        w, v = np.linalg.eigh(herm)
+    else:
+        w = np.linalg.eigvalsh(herm)
+    if w.size and float(w.min()) < -STATE_TOL:
+        raise ValueError(f"density matrix has eigenvalue {float(w.min()):.3e} < -1e-9")
+    return (w, v) if vectors else w
+
+
+def check_state_vectors(dims: Sequence[int], vecs: np.ndarray) -> tuple[int, ...]:
+    """PureState's checks on a (N, D) stack of state vectors; returns the checked dims.
+
+    The dims must be valid, D must be their product, and each vector must be
+    finite with unit norm within 1e-9.
+    """
+    dims = _check_dims(dims)
+    if vecs.shape[-1] != math.prod(dims):
+        raise ShapeError(f"vector length {vecs.shape[-1]} does not match dims {dims}")
+    if not np.isfinite(vecs).all():
+        raise ValueError("state vector has non-finite entries")
+    nrm = np.linalg.norm(vecs, axis=-1)
+    off = np.abs(nrm - 1.0) > STATE_TOL
+    if off.any():
+        raise NormalizationError(f"norm {float(nrm[off][0])!r} is not 1 within 1e-9")
+    return dims
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Density operator on a composite system.
@@ -59,14 +101,7 @@ class DensityMatrix:
         d = math.prod(dims)
         if mat.shape != (d, d):
             raise ShapeError(f"matrix shape {mat.shape} does not match dims {dims}")
-        if herm_defect(mat) > STATE_TOL:
-            raise ValueError("density matrix is not Hermitian within 1e-9")
-        tr = float(mat.trace().real)
-        if abs(tr - 1.0) > STATE_TOL:
-            raise NormalizationError(f"trace {tr!r} is not 1 within 1e-9")
-        wmin = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
-        if wmin < -STATE_TOL:
-            raise ValueError(f"density matrix has eigenvalue {wmin:.3e} < -1e-9")
+        density_spectra(mat[None])
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
@@ -84,15 +119,8 @@ class PureState:
     vec: np.ndarray
 
     def __post_init__(self):
-        dims = _check_dims(self.dims)
         vec = np.asarray(self.vec, dtype=np.complex128).reshape(-1).copy()
-        if vec.shape[0] != math.prod(dims):
-            raise ShapeError(f"vector length {vec.shape[0]} does not match dims {dims}")
-        if not np.isfinite(vec).all():
-            raise ValueError("state vector has non-finite entries")
-        nrm = float(np.linalg.norm(vec))
-        if abs(nrm - 1.0) > STATE_TOL:
-            raise NormalizationError(f"norm {nrm!r} is not 1 within 1e-9")
+        dims = check_state_vectors(self.dims, vec[None])
         vec.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "vec", vec)
@@ -176,24 +204,47 @@ def reduced_state(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError(f"keep={keep} out of range for {n} subsystems")
     if len(keep) == n:
         return psi.to_density()
-    perm, dk, dt = cut_permutation(psi.dims, keep)
-    x = psi.vec[perm].reshape(dk, dt)
-    return DensityMatrix(tuple(psi.dims[i] for i in keep), x @ x.conj().T)
+    mat = reduced_operators(psi.vec[None], psi.dims, keep)[0]
+    return DensityMatrix(tuple(psi.dims[i] for i in keep), mat)
 
 
-def spectral_entropy(values: np.ndarray, floor: float = EIG_FLOOR) -> float:
+def reduced_operators(vecs: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
+    """X X^dagger on the kept subsystems for each row of a (N, D) stack of vectors.
+
+    X is the vector reshaped with the kept block as its row index.  `keep`
+    must leave at least one subsystem to trace out.  The result is the
+    unchecked (N, d_keep, d_keep) stack; `density_spectra` checks it.
+    """
+    perm, dk, dt = cut_permutation(dims, keep)
+    x = vecs[:, perm].reshape(-1, dk, dt)
+    return x @ np.swapaxes(x.conj(), -1, -2)
+
+
+def spectral_entropy(values: np.ndarray, floor: float = EIG_FLOOR) -> float | np.ndarray:
     """-sum v log2 v over entries above `floor`; tiny negatives are clipped.
 
     The workhorse behind both entropies; also usable directly on the
-    spectrum of a subnormalized positive operator.
+    spectrum of a subnormalized positive operator.  A stack of spectra is
+    reduced over its last axis to an array of entropies; a single spectrum
+    gives a float.  Each spectrum sums its kept terms alone, as `np.sum`
+    sums them (from 0, pairwise), so an entropy does not depend on the
+    stack it came in.
     """
-    v = np.asarray(values, dtype=float)
+    v = np.atleast_1d(np.asarray(values, dtype=float))
     if v.size and float(v.min()) < -STATE_TOL:
         raise ValueError(f"spectrum has entry {float(v.min()):.3e} < -1e-9")
-    v = v[v > floor]
-    if v.size == 0:
-        return 0.0
-    return float(-(v * np.log2(v)).sum())
+    rows = v.reshape(math.prod(v.shape[:-1]), v.shape[-1])
+    kept = rows > floor
+    row_of, _ = np.nonzero(kept)
+    x = rows[kept]
+    counts = np.bincount(row_of, minlength=len(rows))
+    # each row's terms follow a 0.0 of their own, so reduceat sums a row as
+    # np.sum does, and an empty row sums to 0.0
+    terms = np.zeros(len(rows) + x.size)
+    terms[np.arange(x.size) + row_of + 1] = x * np.log2(x)
+    sums = np.add.reduceat(terms, np.arange(len(rows)) + np.cumsum(counts) - counts)
+    out = np.where(counts > 0, -sums, 0.0).reshape(v.shape[:-1])
+    return float(out) if out.ndim == 0 else out
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

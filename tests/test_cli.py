@@ -269,6 +269,20 @@ class TestConfig:
         assert out == ""
         assert repr(line.partition("=")[0]) in err
 
+    @pytest.mark.parametrize("argv, line", [
+        (("verify", "flagged", "--samples", "1"), "format=xml"),
+        (("probe", "superadditivity", "--trials", "1"), "source=haar"),
+    ], ids=["format", "source"])
+    def test_value_outside_choices_is_an_error(self, tmp_path, capsys, argv, line):
+        # argparse checks choices on command-line values only
+        cfg = tmp_path / "eof.cfg"
+        cfg.write_text(f"{line}\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        key, _, value = line.partition("=")
+        assert f"{key}={value!r}" in err
+
     def test_config_value_uses_the_option_type(self, tmp_path, capsys):
         cfg = tmp_path / "eof.cfg"
         cfg.write_text("samples=six\n")

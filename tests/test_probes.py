@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eoflab import (
     Case1Spec,
@@ -42,12 +44,15 @@ from eoflab import (
     superadditivity_probe,
     tensor,
     two_block_spec,
+    von_neumann_entropy,
     werner_state,
+    werner_two_pair,
 )
+from eoflab.ensembles import hjw_ensemble, support_decomposition
 from eoflab.probes import _pair_eof
 from eoflab.qmat import ShapeError
 from eoflab.qstate import PureState, reduced_state
-from eoflab.statezoo import random_density_dims, random_isometry
+from eoflab.statezoo import random_density_dims, random_isometry, random_unitary
 
 
 def entangled_pure(theta):
@@ -58,6 +63,80 @@ def entangled_pure(theta):
 def random_factor(seed):
     rng = np.random.default_rng(seed)
     return eigen_ensemble(random_density_dims((2, 2), 2, rng))
+
+
+def reference_members(fa, fb, iso):
+    """product_decomposition_members one member at a time: the loop reference.
+
+    Each member is its own PureState; its entropies come from reduced_state
+    and von_neumann_entropy, and its flag operators from per-flag products.
+    """
+    nj, nk = len(fa), len(fb)
+    lj, lk = fa.weights, fb.weights
+    da, db = fa.dims
+    dap, dbp = fb.dims
+    vec_a = np.column_stack([s.vec for s in fa.states])
+    vec_b = np.column_stack([s.vec for s in fb.states])
+    sig_j = [reduced_state(s, (0,)).mat for s in fa.states]
+    sig_k = [reduced_state(s, (0,)).mat for s in fb.states]
+
+    def spectrum(m):
+        return np.clip(np.linalg.eigvalsh(m), 0.0, None)
+
+    out = []
+    for i, row in enumerate(iso):
+        u = row.reshape(nj, nk)
+        p = float((np.abs(u) ** 2 * np.outer(lj, lk)).sum())
+        if p <= 1e-14:
+            continue
+        amp = u * np.sqrt(np.outer(lj, lk)) / math.sqrt(p)
+        psi = PureState((da, db, dap, dbp), (vec_a @ amp @ vec_b.T).reshape(-1))
+        s_pair = von_neumann_entropy(reduced_state(psi, (0, 2)))
+        s_ap = von_neumann_entropy(reduced_state(psi, (2,)))
+        right, left = [], []
+        for k in range(nk):
+            x = (vec_a @ (u[:, k] * np.sqrt(lj)) / math.sqrt(p)).reshape(da, db)
+            right.append(x @ x.conj().T)
+        for j in range(nj):
+            x = (vec_b @ (u[j, :] * np.sqrt(lk)) / math.sqrt(p)).reshape(dap, dbp)
+            left.append(x @ x.conj().T)
+        t_right = [float(np.trace(m).real) for m in right]
+        s_hat = sum(lk[k] * t * spectral_entropy(spectrum(right[k]) / t)
+                    for k, t in enumerate(t_right) if t > 1e-14)
+        lit = (sum(lk[k] * spectral_entropy(spectrum(m)) for k, m in enumerate(right))
+               + sum(lj[j] * spectral_entropy(spectrum(m)) for j, m in enumerate(left)))
+        nu = np.abs(u) ** 2 * np.outer(lj, lk) / p
+        a_flag = sum(lk[k] * np.kron(right[k], sig_k[k]) for k in range(nk))
+        flag_ap = sum(lj[j] * np.kron(sig_j[j], left[j]) for j in range(nj))
+        flag_flag = sum(nu[j, k] * np.kron(sig_j[j], sig_k[k])
+                        for j in range(nj) for k in range(nk))
+        terms = [spectral_entropy(spectrum(m)) for m in (a_flag, flag_ap, flag_flag)]
+        out.append({
+            "index": i, "p": p, "entropy_pair": s_pair, "entropy_a_prime": s_ap,
+            "gap_member": s_pair - s_hat - s_ap,
+            "gap_question1": s_pair - lit,
+            "gap_question2": s_pair + terms[2] - terms[0] - terms[1],
+            "term_a_flag": terms[0], "term_flag_a_prime": terms[1],
+            "term_flag_flag": terms[2],
+            "flag_weight_sum": float(np.dot(lk, t_right)),
+            "flag_weight_sum_left": float(sum(lj[j] * np.trace(m).real
+                                              for j, m in enumerate(left))),
+        })
+    return out
+
+
+@st.composite
+def factor_pair(draw):
+    """Two eigen-ensemble factors of dims (2,2), (2,3) or (3,2), any rank, m >= n."""
+    dims = st.sampled_from([(2, 2), (2, 3), (3, 2)])
+    dims_a, dims_b = draw(dims), draw(dims)
+    rank_a = draw(st.integers(1, math.prod(dims_a)))
+    rank_b = draw(st.integers(1, math.prod(dims_b)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fa = eigen_ensemble(random_density_dims(dims_a, rank_a, rng))
+    fb = eigen_ensemble(random_density_dims(dims_b, rank_b, rng))
+    n = len(fa) * len(fb)
+    return fa, fb, random_isometry(n + draw(st.integers(0, 3)), n, rng)
 
 
 @functools.cache
@@ -328,6 +407,17 @@ class TestProductDecompositionMembers:
             for d in product_decomposition_members(fa, fb, iso):
                 assert d["gap_question1"] >= d["gap_question2"] - 1e-9
 
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=factor_pair())
+    def test_stack_matches_member_loop(self, case):
+        fa, fb, iso = case
+        got = product_decomposition_members(fa, fb, iso)
+        want = reference_members(fa, fb, iso)
+        assert [d["index"] for d in got] == [d["index"] for d in want]
+        for g, w in zip(got, want):
+            for key in w:
+                assert g[key] == pytest.approx(w[key], abs=1e-12), key
+
     def test_column_count_guard(self):
         fa, fb = random_factor(1), random_factor(2)
         with pytest.raises(ShapeError):
@@ -458,6 +548,53 @@ class TestSuperadditivityProbe:
     def test_four_party_guard(self):
         with pytest.raises(ShapeError):
             pair_superadditivity_gap(random_pure((2, 2, 2), 0))
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(phi=st.floats(-1.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_werner_stack_matches_each_member_alone(self, phi, seed):
+        # the argmin re-evaluation contract: a member's gap from its trial's
+        # stack is the gap of that member alone, and of the scalar route
+        rng = np.random.default_rng(seed)
+        rho = werner_two_pair(phi)
+        rank = int(support_decomposition(rho)[0].size)
+        members = hjw_ensemble(rho, random_isometry(
+            int(rng.integers(rank, 2 * rank + 1)), rank, rng)).states
+        stack = pair_superadditivity_gap(members)
+        assert len(stack) == len(members)
+        for psi, (gap, detail) in zip(members, stack):
+            assert pair_superadditivity_gap(psi) == [(gap, detail)]
+            scalar = (von_neumann_entropy(reduced_state(psi, (0, 2)))
+                      - eof_wootters_2q(reduced_state(psi, (0, 1)))
+                      - eof_wootters_2q(reduced_state(psi, (2, 3))))
+            assert gap == scalar
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_gap_is_local_unitary_invariant(self, seed):
+        rng = np.random.default_rng(seed)
+        psi = random_pure((2, 2, 2, 2), rng)
+        local = functools.reduce(np.kron, [random_unitary(2, rng) for _ in range(4)])
+        moved = PureState(psi.dims, local @ psi.vec)
+        ((gap, _), (again, _)) = pair_superadditivity_gap([psi, moved])
+        assert again == pytest.approx(gap, abs=1e-9)
+
+    def test_mixed_dims_stack_falls_back_to_search(self):
+        # a (2, 3) pair has no closed form: each state gets its own search
+        states = [random_pure((2, 2, 2, 3), [5, k]) for k in range(2)]
+        opts = EofOptions(restarts=1, seed=1)
+        stack = pair_superadditivity_gap(states, opts)
+        for psi, (gap, detail) in zip(states, stack):
+            assert not detail["exact_terms"]
+            rho = reduced_state(psi, (2, 3))
+            assert detail["eof_a_prime_b_prime"] == eof_minimize(rho, (0,), opts).value
+            assert detail["eof_ab"] == eof_wootters_2q(reduced_state(psi, (0, 1)))
+
+    def test_stack_needs_one_dims(self):
+        with pytest.raises(ShapeError):
+            pair_superadditivity_gap([random_pure((2, 2, 2, 2), 0),
+                                      random_pure((2, 2, 2, 3), 0)])
+        with pytest.raises(ValueError):
+            pair_superadditivity_gap([])
 
 
 class TestQuestionProbes:
