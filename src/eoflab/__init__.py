@@ -66,9 +66,8 @@ from .statezoo import (
     werner_state,
     werner_two_pair,
 )
-from .probes import (
-    CheckReport,
-    ProbeResult,
+from .reports import CheckReport, ProbeResult
+from .checks import (
     case1_suite,
     check_case1,
     check_case2,
@@ -76,13 +75,15 @@ from .probes import (
     check_ssa,
     check_strong_concavity,
     check_weak_additivity,
+    ssa_gap,
+)
+from .probes import (
     pair_superadditivity_gap,
     probe_question1,
     probe_question2,
     product_decomposition_members,
     reevaluate_argmin,
     relation_chain_check,
-    ssa_gap,
     superadditivity_probe,
 )
 

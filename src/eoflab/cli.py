@@ -1,39 +1,38 @@
-"""Command line front end.
+"""Command line front end: argument parsing and dispatch.
 
 Subcommands: compute (EoF of a state file), verify (run a named numerical
 check), probe (randomized counterexample search), zoo (write example state
-files).  Reports print to stdout as JSON (default) or CSV; a one-line
-summary per report goes to stderr.  Exit codes: 0 pass, 1 a check failed
-or a probe found a violation, 2 usage or input errors.
+files).  `eoflab.reports` prints every report and payload: JSON (default)
+or CSV on stdout, and a one-line summary per report on stderr.  Exit codes:
+0 pass, 1 a check failed or a probe found a violation, 2 usage or input
+errors, an option the chosen check or probe does not read among them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
 import numpy as np
 
-from .ensembles import save_ensemble
-from .eof import EofOptions, eof_minimize, eof_pure, eof_wootters_2q
-from .probes import (
-    CheckReport,
-    ProbeResult,
+from .checks import (
     case1_suite,
     check_case2,
     check_flagged_identity,
     check_ssa,
     check_strong_concavity,
     check_weak_additivity,
+)
+from .ensembles import save_ensemble
+from .eof import EofOptions, eof_minimize, eof_pure, eof_wootters_2q
+from .probes import (
     probe_question1,
     probe_question2,
     relation_chain_check,
     superadditivity_probe,
 )
-from .qstate import DensityMatrix, PureState, load_state, save_state
+from .qstate import PureState, load_state, save_state
+from .reports import CheckReport, emit, print_payload
 from .statezoo import (
     Case1Spec,
     case1_state,
@@ -97,63 +96,13 @@ def _apply_config(parser: argparse.ArgumentParser, commands: dict, command: str,
     sub.set_defaults(**config)
 
 
-def _kwargs(args: argparse.Namespace, names: dict[str, str]) -> dict:
-    """Collect the user-set options under their library keyword names."""
-    out = {}
-    for attr, kw in names.items():
-        value = getattr(args, attr)
-        if value is not None:
-            out[kw] = value
-    return out
+# the EofOptions fields the command line sets
+_SEARCH = ("restarts", "seed", "ensemble_size", "max_iterations")
 
 
 def _eof_options(args: argparse.Namespace) -> EofOptions | None:
-    fields = _kwargs(args, {
-        "restarts": "restarts", "seed": "seed", "ensemble_size": "ensemble_size",
-        "max_iterations": "max_iterations",
-    })
+    fields = {k: getattr(args, k) for k in _SEARCH if getattr(args, k) is not None}
     return EofOptions(**fields) if fields else None
-
-
-def _emit(reports, fmt: str) -> None:
-    """Print reports to stdout (JSON object/array or one merged CSV table)."""
-    if fmt == "csv":
-        lines: list[str] = []
-        for rep in reports:
-            block = rep.to_csv().splitlines()
-            lines.extend(block if not lines else block[1:])
-        print("\n".join(lines))
-    else:
-        dicts = [rep.to_dict() for rep in reports]
-        print(json.dumps(dicts[0] if len(dicts) == 1 else dicts,
-                         indent=2, sort_keys=True))
-    for rep in reports:
-        if isinstance(rep, CheckReport):
-            verdict = "PASS" if rep.passed else "FAIL"
-            detail = []
-            if rep.max_abs_residual is not None:
-                detail.append(f"max|residual|={rep.max_abs_residual:.3e}")
-            if rep.min_gap is not None:
-                detail.append(f"min_gap={rep.min_gap:.3e}")
-            print(f"{rep.name}: {verdict} ({', '.join(detail)})", file=sys.stderr)
-        elif isinstance(rep, ProbeResult):
-            verdict = "VIOLATION" if rep.violation_found else "no violation"
-            print(f"{rep.name}: {verdict} (min_gap={rep.min_gap:.3e} over "
-                  f"{rep.trials} trials)", file=sys.stderr)
-
-
-def _print_payload(payload: dict, fmt: str) -> None:
-    if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["field", "value"])
-        for key in sorted(payload):
-            value = payload[key]
-            w.writerow([key, value if isinstance(value, str)
-                        else json.dumps(value, sort_keys=True)])
-        print(buf.getvalue(), end="")
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -190,70 +139,84 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if args.dump_ensemble:
             save_ensemble(args.dump_ensemble, est.best_ensemble)
             out["ensemble_file"] = args.dump_ensemble
-    _print_payload(out, args.format or "json")
+    print_payload(out, args.format or "json")
     return 0
 
 
-_VERIFY_NAMES = ("flagged", "strong-concavity", "ssa", "case1", "case2",
-                 "weak-additivity", "relation-chain")
+def _case2_pair(product_weight: float = 0.5, d: int = 3, **kw) -> list[CheckReport]:
+    """check_case2 on the two-block example and on its classical analogue."""
+    example = two_block_spec(product_weight, d)
+    analogue = classical_spec([product_weight, 1.0 - product_weight])
+    return [check_case2(example, example, **kw), check_case2(analogue, analogue, **kw)]
 
 
-def _run_verify(name: str, args: argparse.Namespace) -> list[CheckReport]:
-    base = _kwargs(args, {"seed": "seed", "tol": "tol"})
-    if name == "flagged":
-        kw = base | _kwargs(args, {"samples": "samples", "dims": "dims"})
-        return [check_flagged_identity(**kw)]
-    if name == "strong-concavity":
-        kw = base | _kwargs(args, {"samples": "samples", "dims": "dims"})
-        return [check_strong_concavity(**kw)]
-    if name == "ssa":
-        kw = base | _kwargs(args, {"samples": "samples", "dims": "dims"})
-        return [check_ssa(**kw)]
-    if name == "case1":
-        kw = base | _kwargs(args, {"samples": "samples", "slack": "slack"})
-        return [case1_suite(opts=_eof_options(args), **kw)]
-    if name == "case2":
-        lam = args.product_weight if args.product_weight is not None else 0.5
-        kw = _kwargs(args, {"seed": "seed", "slack": "slack",
-                            "member_slack": "member_slack",
-                            "decomposition_samples": "decomposition_samples"})
-        example = two_block_spec(lam, args.d if args.d is not None else 3)
-        analogue = classical_spec([lam, 1.0 - lam])
-        opts = _eof_options(args)
-        return [check_case2(example, example, opts=opts, **kw),
-                check_case2(analogue, analogue, opts=opts, **kw)]
-    if name == "weak-additivity":
-        kw = _kwargs(args, {"seed": "seed", "slack": "slack", "pairs": "pairs"})
-        return [check_weak_additivity(opts=_eof_options(args), **kw)]
-    if name == "relation-chain":
-        seed = args.seed if args.seed is not None else 0
-        rng = np.random.default_rng([seed, 0])
-        rho_a = random_density_dims((2, 2), 2, rng)
-        rho_b = random_density_dims((2, 2), 2, rng)
-        kw = _kwargs(args, {"slack": "slack"})
-        return [relation_chain_check(rho_a, rho_b, opts=_eof_options(args), **kw)]
-    raise ValueError(f"unknown check {name!r}")
+def _relation_chain(seed: int = 0, **kw) -> CheckReport:
+    """relation_chain_check on two rank-2 two-qubit states drawn from the seed."""
+    rng = np.random.default_rng([seed, 0])
+    pair = [random_density_dims((2, 2), 2, rng) for _ in range(2)]
+    return relation_chain_check(*pair, **kw)
+
+
+def _tables() -> tuple[dict, dict]:
+    """verify check and probe relation -> (function, the options it reads).
+
+    Options pass under their own names; "opts" is the search options as one
+    EofOptions.  Built per command, so the functions are looked up when it
+    runs (perfbench's tracer rebinds these names).
+    """
+    question = ("trials", "seed", "slack", "members", "rank", "dims")
+    verify = {
+        "flagged": (check_flagged_identity, ("samples", "dims", "seed", "tol")),
+        "strong-concavity": (check_strong_concavity, ("samples", "dims", "seed", "tol")),
+        "ssa": (check_ssa, ("samples", "dims", "seed", "tol")),
+        "case1": (case1_suite, ("samples", "seed", "tol", "slack", "opts")),
+        "case2": (_case2_pair, ("seed", "slack", "member_slack", "decomposition_samples",
+                                "product_weight", "d", "opts")),
+        "weak-additivity": (check_weak_additivity, ("seed", "slack", "pairs", "opts")),
+        "relation-chain": (_relation_chain, ("seed", "slack", "opts")),
+    }
+    probe = {
+        "question1": (probe_question1, question),
+        "question2": (probe_question2, question),
+        "superadditivity": (superadditivity_probe, ("trials", "seed", "slack", "source", "phi")),
+    }
+    return verify, probe
+
+
+def _run(table: dict, names, args: argparse.Namespace, command: str) -> list:
+    """Reports of the named table entries, each called with the options it reads.
+
+    An option set (by flag or --config) that none of them reads is an error."""
+    reads = {name: {o for k in keywords for o in (_SEARCH if k == "opts" else (k,))}
+             for name, (_, keywords) in table.items()}
+    unread = set().union(*reads.values()) - set().union(*(reads[n] for n in names))
+    unread = sorted(o for o in unread if getattr(args, o) is not None)
+    if unread:
+        raise ValueError(f"'eof {command}' does not read "
+                         + ", ".join("--" + o.replace("_", "-") for o in unread))
+    reports = []
+    for name in names:
+        fn, keywords = table[name]
+        kw = {k: getattr(args, k, None) for k in keywords if getattr(args, k, None) is not None}
+        if "opts" in keywords:
+            kw["opts"] = _eof_options(args)
+        out = fn(**kw)
+        reports.extend(out if isinstance(out, list) else [out])
+    return reports
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    names = _VERIFY_NAMES if args.check == "all" else (args.check,)
-    reports: list[CheckReport] = []
-    for name in names:
-        reports.extend(_run_verify(name, args))
-    _emit(reports, args.format or "json")
+    verify, _ = _tables()
+    names = tuple(verify) if args.check == "all" else (args.check,)
+    reports = _run(verify, names, args, f"verify {args.check}")
+    emit(reports, args.format or "json")
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    kw = _kwargs(args, {"trials": "trials", "seed": "seed", "slack": "slack"})
-    if args.relation == "superadditivity":
-        kw |= _kwargs(args, {"source": "source", "phi": "phi"})
-        result = superadditivity_probe(**kw)
-    else:
-        kw |= _kwargs(args, {"members": "members", "rank": "rank", "dims": "dims"})
-        fn = probe_question1 if args.relation == "question1" else probe_question2
-        result = fn(**kw)
-    _emit([result], args.format or "json")
+    _, probe = _tables()
+    [result] = _run(probe, (args.relation,), args, f"probe {args.relation}")
+    emit([result], args.format or "json")
     return 1 if result.violation_found else 0
 
 
@@ -287,7 +250,7 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown family {args.family!r}")
     save_state(args.out, state)
     kind = "pure" if isinstance(state, PureState) else "density"
-    _print_payload({"written": args.out, "family": args.family,
+    print_payload({"written": args.out, "family": args.family,
                     "dims": list(state.dims), "kind": kind},
                    args.format or "json")
     return 0
@@ -309,6 +272,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser.add_argument("--format", choices=_FORMATS,
                         help="report format on stdout (default json)")
     sub = parser.add_subparsers(dest="command", required=True)
+    verify, probe = _tables()
 
     # per subcommand parser: option dest -> its choices (None: any value)
     config_keys: dict[argparse.ArgumentParser, dict[str, tuple | None]] = {}
@@ -338,7 +302,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("verify", help="run a named numerical check")
     common(p)
-    p.add_argument("check", choices=_VERIFY_NAMES + ("all",))
+    p.add_argument("check", choices=(*verify, "all"))
     opt(p, "--samples", type=int)
     opt(p, "--dims", type=_dims_arg)
     opt(p, "--seed", type=int)
@@ -356,7 +320,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("probe", help="randomized counterexample search")
     common(p)
-    p.add_argument("relation", choices=("question1", "question2", "superadditivity"))
+    p.add_argument("relation", choices=tuple(probe))
     opt(p, "--trials", type=int)
     opt(p, "--seed", type=int)
     opt(p, "--slack", type=float)

@@ -406,3 +406,19 @@ def eof_minimize(
 ) -> EofEstimate:
     """Numerical EoF upper bound across the cut via the decomposition search."""
     return minimize_over_decompositions(rho, cut, opts, None, warm_starts)
+
+
+def eof_stack(mats: np.ndarray, dims: Sequence[int], opts: EofOptions | None = None,
+              warm_starts: Sequence[Ensemble] = ()) -> tuple[np.ndarray, bool]:
+    """E_f of each two-subsystem operator in a (N, D, D) stack, and whether it is exact.
+
+    At dims (2, 2) the closed form covers the whole stack and is exact;
+    otherwise each value is the upper bound of its own decomposition search,
+    and every search tries the warm starts.
+    """
+    dims = tuple(dims)
+    if dims == (2, 2):
+        return eof_wootters_stack(mats), True
+    values = [eof_minimize(DensityMatrix(dims, m), (0,), opts, warm_starts).value
+              for m in mats]
+    return np.array(values), False

@@ -1,10 +1,9 @@
 """Dense complex matrix helpers: coercion, Hermitian checks, eigensystems.
 
-`as_cmatrix` validates a matrix, `hermitianize` and `herm_defect` project
-onto and measure Hermitian symmetry, and `herm_eig` gives the deterministic
-eigensystem (non-increasing eigenvalues, canonical phases) that the
-ensemble map is built on.  The error classes here are shared by every
-module.  Hot loops elsewhere call numpy directly.
+`as_cmatrix` validates a matrix, and `herm_eig` checks Hermitian symmetry
+and gives the deterministic eigensystem (non-increasing eigenvalues,
+canonical phases) that the ensemble map is built on.  The error classes
+here are shared by every module.  Hot loops elsewhere call numpy directly.
 """
 
 from __future__ import annotations
@@ -46,18 +45,6 @@ def as_cmatrix(a) -> np.ndarray:
     return m
 
 
-def hermitianize(a) -> np.ndarray:
-    """(a + a†)/2, the projection used before every eigendecomposition."""
-    a = as_cmatrix(a)
-    return (a + a.conj().T) / 2
-
-
-def herm_defect(a) -> float:
-    """Max-entry distance from Hermitian symmetry."""
-    a = as_cmatrix(a)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-
-
 def herm_eig(a, tol: float = HERM_TOL) -> HermEig:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -69,9 +56,10 @@ def herm_eig(a, tol: float = HERM_TOL) -> HermEig:
     a = as_cmatrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"herm_eig needs a square matrix, got {a.shape}")
-    if herm_defect(a) > tol:
+    adjoint = a.conj().T
+    if a.size and float(np.max(np.abs(a - adjoint))) > tol:
         raise SymmetryError(f"matrix is not Hermitian within {tol:g}")
-    w, v = np.linalg.eigh(hermitianize(a))
+    w, v = np.linalg.eigh((a + adjoint) / 2)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     # canonical phase: first component with magnitude above threshold -> real positive

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .ensembles import Ensemble
-from .qmat import ShapeError, as_cmatrix
+from .qmat import ShapeError
 from .qstate import DensityMatrix, PureState
 
 

@@ -162,6 +162,12 @@ class TestVerify:
         assert code == 0
         assert out["passed"] is True
 
+    def test_ssa_with_two_dims_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "ssa", "--samples", "2", "--dims", "2,2")
+        assert code == 2
+        assert out == ""
+        assert "3 subsystem dims" in err
+
     def test_unknown_check_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "does-not-exist"])
@@ -187,6 +193,48 @@ def test_count_below_one_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "must be >= 1" in err
+
+
+UNREAD = [
+    (("verify", "relation-chain", "--tol", "5", "--dims", "3,3", "--samples", "99"),
+     "--dims, --samples, --tol"),
+    (("verify", "flagged", "--samples", "2", "--restarts", "5", "--slack", "3"),
+     "--restarts, --slack"),
+    (("verify", "ssa", "--samples", "2", "--member-slack", "0.1"), "--member-slack"),
+    (("verify", "weak-additivity", "--pairs", "1", "--dims", "2,3"), "--dims"),
+    (("probe", "superadditivity", "--trials", "2", "--members", "3", "--rank", "9",
+      "--dims", "5,5"), "--dims, --members, --rank"),
+    (("probe", "question1", "--trials", "2", "--phi", "0.5"), "--phi"),
+    (("probe", "question2", "--trials", "2", "--source", "case1"), "--source"),
+]
+
+
+@pytest.mark.parametrize("argv, unread", UNREAD, ids=[" ".join(a) for a, _ in UNREAD])
+def test_option_the_check_does_not_read_is_usage_error(capsys, argv, unread):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"'eof {argv[0]} {argv[1]}' does not read {unread}" in err
+
+
+def test_config_option_the_check_does_not_read_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "eof.cfg"
+    cfg.write_text("restarts=3\n")
+    code, out, err = run(capsys, "verify", "ssa", "--samples", "2", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "does not read --restarts" in err
+
+
+def test_verify_all_takes_an_option_one_check_reads(capsys):
+    # --pairs (weak-additivity) and --d (case2) pass the option check, so the
+    # run gets as far as the first check, which refuses --samples 0
+    code, out, err = run(capsys, "verify", "all", "--pairs", "1", "--d", "2",
+                         "--samples", "0")
+    assert code == 2
+    assert out == ""
+    assert "does not read" not in err
+    assert "samples must be >= 1" in err
 
 
 class TestProbe:

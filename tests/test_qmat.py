@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from eoflab import qmat
 from eoflab.qmat import ShapeError, SymmetryError, herm_eig
 
 
@@ -69,7 +68,11 @@ class TestHermEig:
 
 
 def test_hermitianize_halves_defect():
+    # within a loose tolerance, herm_eig decomposes (a + a†)/2
     a = np.array([[1.0, 2.0], [0.0, 1.0]])
-    out = qmat.hermitianize(a)
-    assert qmat.herm_defect(out) < 1e-15
-    np.testing.assert_allclose(out, np.array([[1.0, 1.0], [1.0, 1.0]]))
+    w, v = herm_eig(a, tol=3.0)
+    out = (v * w) @ v.conj().T
+    assert np.max(np.abs(out - out.conj().T)) < 1e-15
+    np.testing.assert_allclose(w, [2.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(out, np.array([[1.0, 1.0], [1.0, 1.0]]), atol=1e-12)
+
