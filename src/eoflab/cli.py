@@ -207,6 +207,10 @@ def _run(table: dict, names, args: argparse.Namespace, command: str) -> list:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     verify, _ = _tables()
+    if args.check == "all" and args.dims is not None:
+        raise ValueError("'eof verify all' does not take --dims: flagged and "
+                         "strong-concavity read it as a pool of system dimensions, "
+                         "ssa as its three subsystem dimensions")
     names = tuple(verify) if args.check == "all" else (args.check,)
     reports = _run(verify, names, args, f"verify {args.check}")
     emit(reports, args.format or "json")

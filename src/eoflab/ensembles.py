@@ -9,13 +9,14 @@ eigendecomposition rho = sum_j lam_j |e_j><e_j| through a left isometry u
 
 `hjw_ensemble` applies that map; `isometry_for_ensemble` inverts it.  The
 eigenbasis convention is qmat.herm_eig's deterministic one, so the map is a
-deterministic function of (rho, u).
+deterministic function of (rho, u).  `hjw_members` and `eigen_ensembles`
+are the array kernels behind `hjw_ensemble` and `eigen_ensemble`; they take
+stacks, and give each member the bits it gets alone.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,12 +71,14 @@ class Ensemble:
 
 
 def check_isometry(u, tol: float = ISOMETRY_TOL) -> np.ndarray:
-    """Validate u† u = 1 on the columns; returns the coerced matrix."""
+    """Validate u† u = 1 on the columns of u, or of each matrix in a (..., m, n)
+    stack; returns the coerced array."""
     u = as_cmatrix(u)
-    m, n = u.shape
+    m, n = u.shape[-2:]
     if m < n:
         raise ShapeError(f"isometry needs at least as many rows as columns, got {u.shape}")
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(n)))) if n else 0.0
+    gram = np.swapaxes(u.conj(), -1, -2) @ u
+    defect = float(np.max(np.abs(gram - np.eye(n)))) if gram.size else 0.0
     if defect > tol:
         raise ValueError(f"isometry defect {defect:.3e} exceeds {tol:g}")
     return u
@@ -90,9 +93,27 @@ def support_decomposition(rho: DensityMatrix, rank_tol: float = RANK_TOL):
 
 def eigen_ensemble(rho: DensityMatrix) -> Ensemble:
     """rho's eigen-ensemble {lam_j / sum(lam), e_j} over its support."""
-    lam, vecs = support_decomposition(rho)
-    states = tuple(PureState(rho.dims, vecs[:, j]) for j in range(lam.size))
-    return Ensemble(lam / float(lam.sum()), states)
+    [(weights, flags)] = eigen_ensembles(rho.mat[None])
+    return Ensemble(weights, tuple(PureState(rho.dims, e) for e in flags.T))
+
+
+def eigen_ensembles(mats: np.ndarray) -> list:
+    """(weights, flags) of the eigen-ensemble of each matrix in a (T, d, d) stack.
+
+    Trial t's weights are its eigenvalues above RANK_TOL over their sum, and
+    its flags the matching eigenvectors as the columns of a (d, r) array, in
+    herm_eig's basis.  The matrices are not checked as density operators.
+    """
+    w, v = herm_eig(mats)
+    ranks = (w > RANK_TOL).sum(axis=-1)
+    out = [None] * len(ranks)
+    for r in np.unique(ranks):      # one group per support size
+        trials = np.flatnonzero(ranks == r)
+        lam = w[trials, :r]
+        for t, weights, flags in zip(trials, lam / lam.sum(axis=-1, keepdims=True),
+                                     v[trials, :, :r]):
+            out[t] = (weights, flags)
+    return out
 
 
 def hjw_ensemble(rho: DensityMatrix, u, ptol: float = 1e-12) -> Ensemble:
@@ -107,17 +128,26 @@ def hjw_ensemble(rho: DensityMatrix, u, ptol: float = 1e-12) -> Ensemble:
     r = lam.size
     if u.shape[1] != r:
         raise ShapeError(f"isometry has {u.shape[1]} columns, rank is {r}")
-    basis = vecs * np.sqrt(lam)           # columns sqrt(lam_j)|e_j>
-    raw = basis @ u.T                     # column i = unnormalized psi_i
-    p = np.einsum("di,di->i", raw.conj(), raw).real
+    p, members = hjw_members(lam, vecs, u)
     keep = np.flatnonzero(p > ptol)
     if keep.size == 0:
         raise ValueError("every member weight fell below ptol")
-    states = tuple(
-        PureState(rho.dims, raw[:, i] / math.sqrt(p[i])) for i in keep
-    )
     w = p[keep] / p[keep].sum()
-    return Ensemble(w, states)
+    return Ensemble(w, tuple(PureState(rho.dims, members[i]) for i in keep))
+
+
+def hjw_members(lam: np.ndarray, vecs: np.ndarray, u: np.ndarray):
+    """Weights p_i and unit vectors psi_i of the ensemble map, unchecked.
+
+    (lam, vecs) is a support decomposition and u an m x rank isometry, or a
+    (..., m, rank) stack of them; returns p (..., m) and the members as the
+    rows of a (..., m, D) array.  A member of zero weight keeps its zero vector.
+    """
+    basis = vecs * np.sqrt(lam)                     # columns sqrt(lam_j)|e_j>
+    raw = basis @ np.swapaxes(u, -1, -2)            # column i = unnormalized psi_i
+    p = np.einsum("...di,...di->...i", raw.conj(), raw).real
+    members = np.swapaxes(raw, -1, -2) / np.sqrt(np.where(p > 0, p, 1.0))[..., None]
+    return p, members
 
 
 def mix(e: Ensemble) -> DensityMatrix:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.optimize
+import scipy  # scipy.optimize loads at the first search
 
 from .ensembles import (
     Ensemble,

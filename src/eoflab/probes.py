@@ -2,28 +2,34 @@
 
 Each probe returns a ProbeResult whose `argmin` carries enough data to be
 recomputed from scratch with `reevaluate_argmin`; every decomposition is an
-`Ensemble`, and an argmin stores one in the ensemble-file layout.  The
-probes evaluate the members of a trial as one stack, not one state at a
-time: `product_decomposition_members` and `pair_superadditivity_gap` make
-one reduction per cut and one eigen-solve per stack, and a member's values
-do not depend on the stack it came in, so re-evaluating an argmin member
-alone gives the same bits.  `relation_chain_check`, a consistency check of
-the decomposition search built on custom member costs, lives here too.
+`Ensemble`, and an argmin stores one in the ensemble-file layout.  A probe
+run is evaluated as a stack, not one trial or one state at a time.  Each
+trial still draws its raw Gaussians from its own stream, seeded by
+(seed, trial); the samplers' builders then turn every trial's draws into
+states and isometries in one call each, and `product_decomposition_members`
+and `pair_superadditivity_gap` evaluate every member of every trial in one
+pass (trials whose shapes differ go in separate stacks).  A member's values
+do not depend on the stack it came in, so a run gives the bytes of its
+trials run one by one, and re-evaluating an argmin member alone gives the
+same bits.  Runs longer than a chunk (STACK_BUDGET) are stacked chunk by
+chunk, so memory does not grow with the trial count.  `relation_chain_check`,
+a consistency check of the decomposition search built on custom member
+costs, lives here too.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .ensembles import (
     Ensemble,
     check_isometry,
-    eigen_ensemble,
+    eigen_ensembles,
     ensemble_to_payload,
-    hjw_ensemble,
+    hjw_members,
     payload_to_ensemble,
     product_ensemble,
     support_decomposition,
@@ -55,13 +61,14 @@ from .qstate import (
 )
 from .reports import GAP_TOL, CheckReport, ProbeResult, require_count
 from .statezoo import (
-    Case1Spec,
     Case2Spec,
-    case1_state,
+    case1_vectors,
     case2_ensemble,
-    random_density_dims,
-    random_isometry,
-    random_pure,
+    complex_gaussian,
+    density_gaussian,
+    gaussian_densities,
+    haar_isometries,
+    unit_vectors,
     werner_two_pair,
 )
 
@@ -83,7 +90,22 @@ UPPER_BOUND_CAVEAT = (
 # ---------------------------------------------------------------------------
 # member and gap kernels
 
-def product_decomposition_members(fa: Ensemble, fb: Ensemble, iso) -> list[dict]:
+def _factor_stack(f) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """(dims, weights, flags) of a factor, checked; an Ensemble is a stack of one."""
+    if isinstance(f, Ensemble):
+        dims, weights = f.dims, f.weights[None]
+        flags = np.column_stack([s.vec for s in f.states])[None]
+    else:
+        dims, weights, flags = f
+        dims, weights = tuple(dims), np.asarray(weights, dtype=float)
+    if len(dims) != 2:
+        raise ShapeError(f"need two-subsystem factors, got dims {dims}")
+    if float(weights.min()) <= 0.0:  # Ensemble allows 0 and -1e-12
+        raise ValueError("factor weights must be strictly positive")
+    return dims, weights, check_isometry(flags)
+
+
+def product_decomposition_members(fa, fb, iso) -> list:
     """Member-level data for a decomposition of mix(fa) (x) mix(fb).
 
     Each factor is a two-subsystem ensemble of orthonormal members, the
@@ -103,150 +125,191 @@ def product_decomposition_members(fa: Ensemble, fb: Ensemble, iso) -> list[dict]
                      - S(flag/A' mixture), an SSA-shaped comparison of the
                      three trace-one flagged operators (terms in entry)
 
-    The kept members are built and evaluated as one stack, with
-    PureState's and DensityMatrix's checks on every member and reduction.
+    A (T, m, n) stack of isometries evaluates T trials at once and returns
+    one such list per trial.  A factor is then an Ensemble shared by every
+    trial, or the trials' own factors as (dims, weights, flags): weights
+    (T, r) and flags (T, prod(dims), r), flag j of trial t in column j of
+    flags[t].  Every member of every trial is built and evaluated in one
+    stack, with PureState's and DensityMatrix's checks on every member and
+    reduction, and gets the bits it gets alone.
     """
-    for f in (fa, fb):
-        if len(f.dims) != 2:
-            raise ShapeError(f"need two-subsystem factors, got dims {f.dims}")
-        if float(f.weights.min()) <= 0.0:  # Ensemble allows 0 and -1e-12
-            raise ValueError("factor weights must be strictly positive")
-    vec_a = check_isometry(np.column_stack([s.vec for s in fa.states]))
-    vec_b = check_isometry(np.column_stack([s.vec for s in fb.states]))
+    (dims_a, lj, vec_a), (dims_b, lk, vec_b) = _factor_stack(fa), _factor_stack(fb)
     iso = check_isometry(iso)
-    nj, nk = len(fa), len(fb)
-    if iso.shape[1] != nj * nk:
-        raise ShapeError(f"isometry has {iso.shape[1]} columns, expected {nj * nk}")
-    lj, lk = fa.weights, fb.weights
-    da, db = fa.dims
-    dap, dbp = fb.dims
+    if iso.ndim > 3:
+        raise ShapeError(f"need an isometry or a stack of them, got shape {iso.shape}")
+    stacked = iso.ndim == 3
+    nj, nk = lj.shape[-1], lk.shape[-1]
+    if iso.shape[-1] != nj * nk:
+        raise ShapeError(f"isometry has {iso.shape[-1]} columns, expected {nj * nk}")
+    u = iso.reshape(-1, iso.shape[-2], nj, nk)      # axes: trial, member, flag J, flag K
+    if {len(lj), len(lk)} - {1, len(u)}:
+        raise ShapeError(f"factor stacks of {len(lj)} and {len(lk)} for {len(u)} trials")
+    da, db = dims_a
+    dap, dbp = dims_b
     dims = (da, db, dap, dbp)
     # flag reductions: the left reduction of each factor member
-    xa = vec_a.T.reshape(nj, da, db)
-    xb = vec_b.T.reshape(nk, dap, dbp)
-    sig_j = np.einsum("nab,ncb->nac", xa, xa.conj())
-    sig_k = np.einsum("nab,ncb->nac", xb, xb.conj())
+    xa = np.swapaxes(vec_a, -1, -2).reshape(-1, nj, da, db)
+    xb = np.swapaxes(vec_b, -1, -2).reshape(-1, nk, dap, dbp)
+    sig_j = np.einsum("...nab,...ncb->...nac", xa, xa.conj())
+    sig_k = np.einsum("...nab,...ncb->...nac", xb, xb.conj())
 
-    # every kept member at once: axis 0 of each stack runs over the members
-    u = iso.reshape(-1, nj, nk)
-    amp = u * np.sqrt(np.outer(lj, lk))
-    p = (np.abs(amp) ** 2).sum(axis=(1, 2))
-    index = np.flatnonzero(p > 1e-14)
-    u, amp, p = u[index], amp[index], p[index]
+    # every member of every trial at once; a dropped member is evaluated with
+    # p = 1 and left out of the checks and the result
+    outer = lj[:, :, None] * lk[:, None, :]
+    amp = u * np.sqrt(outer)[:, None]
+    p = (np.abs(amp) ** 2).sum(axis=(-2, -1))
+    kept = p > 1e-14
+    p = np.where(kept, p, 1.0)
     root_p = np.sqrt(p)
-    vecs = (vec_a @ (amp / root_p[:, None, None]) @ vec_b.T).reshape(len(index), -1)
+    vecs = (vec_a[:, None] @ (amp / root_p[..., None, None])
+            @ np.swapaxes(vec_b, -1, -2)[:, None]).reshape(*p.shape, -1)[kept]
     check_state_vectors(dims, vecs)
     s_pair = spectral_entropy(density_spectra(reduced_operators(vecs, dims, (0, 2))))
     s_ap = spectral_entropy(density_spectra(reduced_operators(vecs, dims, (2,))))
 
-    # flag-resolved components: right_ops[:, K] is the A-reduction of the
+    # flag-resolved components: right_ops[..., K] is the A-reduction of the
     # (subnormalized) piece of psi lying over the second factor's flag K,
-    # left_ops[:, J] the A'-reduction over the first factor's flag J.  Each
+    # left_ops[..., J] the A'-reduction over the first factor's flag J.  Each
     # piece is a mat-vec product divided by sqrt(p) after the product: a
     # matrix-matrix product, or dividing first, moves fields in the last bits
-    right = np.ascontiguousarray((u * np.sqrt(lj)[:, None]).transpose(0, 2, 1))
-    x = (vec_a @ right[..., None] / root_p[:, None, None, None]).reshape(-1, nk, da, db)
+    right = np.ascontiguousarray(np.swapaxes(u * np.sqrt(lj)[:, None, :, None], -1, -2))
+    x = vec_a[:, None, None] @ right[..., None] / root_p[..., None, None, None]
+    x = x.reshape(*p.shape, nk, da, db)
     right_ops = x @ np.swapaxes(x.conj(), -1, -2)
-    x = (vec_b @ (u * np.sqrt(lk))[..., None] / root_p[:, None, None, None])
-    x = x.reshape(-1, nj, dap, dbp)
+    x = vec_b[:, None, None] @ (u * np.sqrt(lk)[:, None, None])[..., None]
+    x = (x / root_p[..., None, None, None]).reshape(*p.shape, nj, dap, dbp)
     left_ops = x @ np.swapaxes(x.conj(), -1, -2)
     t_right = np.einsum("...kaa->...k", right_ops).real
     t_left = np.einsum("...jaa->...j", left_ops).real
-    w_right = lk * t_right
-    w_left = lj * t_left
+    w_right = lk[:, None] * t_right
+    w_left = lj[:, None] * t_left
     # one eigen-solve per stack serves the normalized and the literal sums
     vals_right = np.clip(np.linalg.eigvalsh(right_ops), 0.0, None)
     vals_left = np.clip(np.linalg.eigvalsh(left_ops), 0.0, None)
 
     live = t_right > 1e-14
     normalized = spectral_entropy(vals_right / np.where(live, t_right, 1.0)[..., None])
-    s_hat = np.where(live, w_right * normalized, 0.0).sum(axis=-1)
+    s_hat = np.where(live, w_right * normalized, 0.0).sum(axis=-1)[kept]
     gap_member = s_pair - s_hat - s_ap
 
-    lit_right = (lk * spectral_entropy(vals_right)).sum(axis=-1)
-    lit_left = (lj * spectral_entropy(vals_left)).sum(axis=-1)
+    lit_right = (lk[:, None] * spectral_entropy(vals_right)).sum(axis=-1)[kept]
+    lit_left = (lj[:, None] * spectral_entropy(vals_left)).sum(axis=-1)[kept]
     gap_q1 = s_pair - lit_right - lit_left
 
-    nu = (np.abs(u) ** 2) * np.outer(lj, lk) / p[:, None, None]
+    nu = (np.abs(u) ** 2) * outer[:, None] / p[..., None, None]
     flagged = np.stack([
-        np.einsum("k,mkab,kcd->macbd", lk, right_ops, sig_k),   # A / flag
-        np.einsum("j,jab,mjcd->macbd", lj, sig_j, left_ops),    # flag / A'
-        np.einsum("mjk,jab,kcd->macbd", nu, sig_j, sig_k),      # flag / flag
-    ], axis=1).reshape(-1, 3, da * dap, da * dap)
+        np.einsum("...k,...mkab,...kcd->...macbd", lk, right_ops, sig_k),   # A / flag
+        np.einsum("...j,...jab,...mjcd->...macbd", lj, sig_j, left_ops),    # flag / A'
+        np.einsum("...mjk,...jab,...kcd->...macbd", nu, sig_j, sig_k),     # flag / flag
+    ], axis=-5)[kept].reshape(-1, 3, da * dap, da * dap)
     term1, term2, term3 = spectral_entropy(np.clip(np.linalg.eigvalsh(flagged), 0.0, None)).T
     gap_q2 = s_pair + term3 - term1 - term2
 
+    trial, index = np.nonzero(kept)
     columns = {
-        "p": p, "entropy_pair": s_pair, "entropy_a_prime": s_ap,
+        "index": index, "p": p[kept], "entropy_pair": s_pair, "entropy_a_prime": s_ap,
         "gap_member": gap_member, "gap_question1": gap_q1, "gap_question2": gap_q2,
         "term_a_flag": term1, "term_flag_a_prime": term2, "term_flag_flag": term3,
-        "flag_weight_sum": w_right.sum(axis=-1),
-        "flag_weight_sum_left": w_left.sum(axis=-1),
+        "flag_weight_sum": w_right.sum(axis=-1)[kept],
+        "flag_weight_sum_left": w_left.sum(axis=-1)[kept],
     }
-    return [{"index": int(i), **{key: float(col[n]) for key, col in columns.items()}}
-            for n, i in enumerate(index)]
+    rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    if not stacked:
+        return rows
+    ends = np.cumsum(kept.sum(axis=-1)).tolist()
+    return [rows[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
-def pair_superadditivity_gap(states: PureState | Sequence[PureState],
-                             opts: EofOptions | None = None) -> list[tuple[float, dict]]:
+def pair_superadditivity_gap(states, opts: EofOptions | None = None) -> list[tuple[float, dict]]:
     """S(rho_AA') - E_f(rho_AB) - E_f(rho_A'B') for a stack of four-party pure states.
 
-    Parties are ordered (A, B, A', B'); every state in the stack has the same
-    dims, and a single PureState is a stack of one.  The stack is evaluated
-    in one pass: one reduction per cut, one eigen-solve per stack, and
-    `eof_stack` on each pair's reductions (the closed two-qubit form on the
-    whole stack for a pair of dims (2, 2), a search per state otherwise).
-    Returns one (gap, detail) per state; detail's exact_terms says whether
-    both EoF terms used the closed form (otherwise they are upper bounds and
-    the gap a lower bound).
+    Parties are ordered (A, B, A', B').  The stack is a sequence of
+    PureStates of one dims, or (dims, vecs) with the state vectors as the
+    rows of an (N, D) array, which get PureState's checks here; a single
+    PureState is a stack of one.  The stack is evaluated in one pass: one
+    reduction per cut, one eigen-solve per stack, and `eof_stack` on each
+    pair's reductions (the closed two-qubit form on the whole stack for a
+    pair of dims (2, 2), a search per state otherwise).  Returns one
+    (gap, detail) per state; detail's exact_terms says whether both EoF
+    terms used the closed form (otherwise they are upper bounds and the gap
+    a lower bound).
     """
-    states = [states] if isinstance(states, PureState) else list(states)
-    if not states:
-        raise ValueError("need at least one state")
-    dims = states[0].dims
+    if isinstance(states, tuple) and len(states) == 2 and isinstance(states[1], np.ndarray):
+        dims, vecs = tuple(states[0]), states[1]
+        states = None
+    else:
+        states = [states] if isinstance(states, PureState) else list(states)
+        if not states:
+            raise ValueError("need at least one state")
+        dims = states[0].dims
     if len(dims) != 4:
         raise ShapeError(f"need four subsystems, got dims {dims}")
-    if any(s.dims != dims for s in states):
-        raise ShapeError(f"every state in the stack needs dims {dims}")
-    vecs = np.stack([s.vec for s in states])
+    if states is not None:
+        if any(s.dims != dims for s in states):
+            raise ShapeError(f"every state in the stack needs dims {dims}")
+        vecs = np.stack([s.vec for s in states])
+    elif not len(vecs):
+        raise ValueError("need at least one state")
+    else:
+        check_state_vectors(dims, vecs)
     s_pair = spectral_entropy(density_spectra(reduced_operators(vecs, dims, (0, 2))))
     (ef_ab, exact1), (ef_apbp, exact2) = (
         eof_stack(reduced_operators(vecs, dims, cut), [dims[i] for i in cut], opts)
         for cut in ((0, 1), (2, 3)))
-    gaps = s_pair - ef_ab - ef_apbp
-    return [(float(gaps[n]), {
-        "entropy_pair": float(s_pair[n]), "eof_ab": float(ef_ab[n]),
-        "eof_a_prime_b_prime": float(ef_apbp[n]), "exact_terms": exact1 and exact2,
-    }) for n in range(len(states))]
+    exact = exact1 and exact2
+    return [(gap, {"entropy_pair": pair, "eof_ab": ab, "eof_a_prime_b_prime": apbp,
+                   "exact_terms": exact})
+            for gap, pair, ab, apbp in zip((s_pair - ef_ab - ef_apbp).tolist(), s_pair.tolist(),
+                                           ef_ab.tolist(), ef_apbp.tolist())]
 
 
 # ---------------------------------------------------------------------------
 # counterexample searches
 
-def _search(name: str, trials: int, seed: int, slack: float, caveat: str,
-            extra: dict, trial: Callable) -> ProbeResult:
-    """The seeded trial loop the probes share, with its argmin tracking.
+# entries a chunk of trials may stack (member vector entries, roughly): chunks
+# bound the memory a run takes, whatever its number of trials
+STACK_BUDGET = 2 ** 18
 
-    trial(t, rng) evaluates trial t on the stream seeded by (seed, t) and
-    returns its smallest gap, its per_trial fields beyond trial and gap, and
-    a callable serializing the instance behind that gap, called only when it
-    takes the lead as `argmin`.  A trial may add running totals to `extra`.
+
+def _search(name: str, trials: int, seed: int, slack: float, caveat: str,
+            extra: dict, trial_size: int, run: Callable) -> ProbeResult:
+    """The seeded trial driver the probes share, with its argmin tracking.
+
+    Trial t draws from its own stream, seeded by (seed, t).  The trials run
+    in chunks of at most STACK_BUDGET // trial_size, trial_size being about
+    the entries one trial stacks.  run(rngs) evaluates a chunk's trials as
+    one stack and returns their smallest gaps as an array, their per_trial
+    fields beyond trial and gap, and a callable serializing the instance
+    behind trial k's gap, called only for a trial that takes the lead as
+    `argmin`.  run may add running totals to `extra`.
     """
     require_count("trials", trials)
     per = []
     best_gap = math.inf
     argmin: dict = {}
-    for t in range(trials):
-        gap, entry, instance = trial(t, np.random.default_rng([seed, t]))
-        per.append({"trial": t, "gap": gap, **entry})
-        if gap < best_gap:
-            best_gap = gap
-            argmin = {"relation": name, "trial": t, "gap": gap, **instance()}
+    step = max(1, STACK_BUDGET // max(1, trial_size))
+    for lo in range(0, trials, step):
+        rngs = [np.random.default_rng([seed, t]) for t in range(lo, min(trials, lo + step))]
+        gaps, entries, instance = run(rngs)
+        at = int(np.argmin(gaps))       # the first of equal gaps, as trials lead
+        if gaps[at] < best_gap:
+            best_gap = float(gaps[at])
+            argmin = {"relation": name, "trial": lo + at, "gap": best_gap, **instance(at)}
+        per.extend({"trial": lo + k, "gap": gap, **entry}
+                   for k, (gap, entry) in enumerate(zip(gaps.tolist(), entries)))
     return ProbeResult(
         name=name, trials=trials, seed=seed, slack=float(slack),
         min_gap=float(best_gap), violation_found=best_gap < -slack,
         argmin=argmin, caveat=caveat, per_trial=tuple(per), extra=extra,
     )
+
+
+def _by_shape(shapes) -> dict:
+    """Trial indices grouped by shape, in order of first appearance."""
+    groups: dict = {}
+    for t, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(t)
+    return groups
 
 
 def superadditivity_probe(source: str = "random", trials: int = 100, seed: int = 0,
@@ -256,34 +319,53 @@ def superadditivity_probe(source: str = "random", trials: int = 100, seed: int =
     Sources: "random" draws Haar-like two-pair pure states, "case1" draws
     doubled-Schmidt states from Dirichlet weights (where the relation is a
     theorem), "werner" walks decomposition members of the two-pair view of
-    the d = 4 collective-symmetry state at flip expectation `phi`.
+    the d = 4 collective-symmetry state at flip expectation `phi`.  Every
+    member of every trial in a chunk is evaluated in one
+    `pair_superadditivity_gap` pass.
     """
     if source not in ("random", "case1", "werner"):
         raise ValueError(f"unknown source {source!r}")
-    rho_w = werner_two_pair(phi) if source == "werner" else None
-    rank_w = int(support_decomposition(rho_w)[0].size) if rho_w is not None else 0
+    dims = (2, 2, 2, 2)
     extra = {"source": source, "exact_terms": True}
+    rank_w = 0
     if source == "werner":
+        lam_w, vecs_w = support_decomposition(werner_two_pair(phi))
+        rank_w = lam_w.size
         extra["phi"] = float(phi)
 
-    def trial(t, rng):
+    def candidates(rngs) -> list[np.ndarray]:
+        """Each trial's candidate state vectors, as the rows of an array."""
         if source == "random":
-            candidates = [random_pure((2, 2, 2, 2), rng)]
-        elif source == "case1":
-            w = rng.dirichlet(np.ones(4)).reshape(2, 2)
-            candidates = [case1_state(Case1Spec(w))]
-        else:
-            m = int(rng.integers(rank_w, 2 * rank_w + 1))
-            ens = hjw_ensemble(rho_w, random_isometry(m, rank_w, rng))
-            candidates = [s for _, s in ens]
-        gaps, details = zip(*pair_superadditivity_gap(candidates))
-        extra["exact_terms"] = extra["exact_terms"] and all(d["exact_terms"] for d in details)
-        at = int(np.argmin(gaps))
-        return float(gaps[at]), {"members": len(candidates)}, lambda: {
-            "source": source, "member": at,
-            "state": state_to_payload(candidates[at]), "detail": details[at]}
+            return list(unit_vectors(np.stack([complex_gaussian(rng, 16) for rng in rngs]))[:, None])
+        if source == "case1":
+            w = np.stack([rng.dirichlet(np.ones(4)).reshape(2, 2) for rng in rngs])
+            return list(case1_vectors(w)[:, None])
+        sizes = [int(rng.integers(rank_w, 2 * rank_w + 1)) for rng in rngs]
+        draws = [complex_gaussian(rng, (m, rank_w)) for rng, m in zip(rngs, sizes)]
+        out = [None] * len(rngs)
+        for trials_m in _by_shape(sizes).values():
+            u = check_isometry(haar_isometries(np.stack([draws[t] for t in trials_m])))
+            p, members = hjw_members(lam_w, vecs_w, u)
+            for t, keep, psi in zip(trials_m, p > 1e-12, members):   # hjw_ensemble's ptol
+                out[t] = psi[keep]
+        return out
 
-    return _search("superadditivity", trials, seed, slack, UPPER_BOUND_CAVEAT, extra, trial)
+    def run(rngs):
+        found = candidates(rngs)
+        counts = [len(c) for c in found]
+        gap_details = pair_superadditivity_gap((dims, np.concatenate(found)))
+        gaps = np.array([g for g, _ in gap_details])
+        extra["exact_terms"] = extra["exact_terms"] and gap_details[0][1]["exact_terms"]
+        starts = np.cumsum(counts) - counts
+        best = [int(np.argmin(gaps[s:s + n])) for s, n in zip(starts, counts)]
+        return gaps[starts + best], [{"members": n} for n in counts], lambda k: {
+            "source": source, "member": best[k],
+            "state": state_to_payload(PureState(dims, found[k][best[k]])),
+            "detail": gap_details[starts[k] + best[k]][1]}
+
+    most = 2 * rank_w if source == "werner" else 1      # candidates a trial draws
+    return _search("superadditivity", trials, seed, slack, UPPER_BOUND_CAVEAT, extra,
+                   16 * most, run)
 
 
 def _pinned_factor(obj) -> Ensemble:
@@ -299,40 +381,65 @@ def _question_probe(name: str, factor_a, factor_b, trials: int, members: int,
                     seed: int, slack: float, dims, rank: int) -> ProbeResult:
     require_count("members", members)
     key = "gap_" + name
-    fixed_a = None if factor_a is None else _pinned_factor(factor_a)
-    fixed_b = None if factor_b is None else _pinned_factor(factor_b)
+    pinned = [None if f is None else _pinned_factor(f) for f in (factor_a, factor_b)]
     extra = {
         "members": int(members), "dims": [int(d) for d in dims], "rank": int(rank),
-        "fixed_factors": [fixed_a is not None, fixed_b is not None],
+        "fixed_factors": [f is not None for f in pinned],
     }
     if name == "question2":     # question2 implies question1 member by member
         extra["implication_failures"] = 0
         extra["min_gap_question1"] = math.inf
+    grid = tuple(extra["dims"])
+    sizes = [math.prod(f.dims) if f is not None else math.prod(grid) for f in pinned]
+    ranks = [len(f) if f is not None else int(rank) for f in pinned]
 
-    def trial(t, rng):
-        fa = fixed_a if fixed_a is not None else eigen_ensemble(
-            random_density_dims(dims, rank, rng))
-        fb = fixed_b if fixed_b is not None else eigen_ensemble(
-            random_density_dims(dims, rank, rng))
-        n = len(fa) * len(fb)
-        m = max(int(members), n)
-        iso = random_isometry(m, n, rng)
-        mem = product_decomposition_members(fa, fb, iso)
-        gaps = [d[key] for d in mem]
-        at = int(np.argmin(gaps))
+    def run(rngs):
+        # per trial: factor A's Gaussian, then factor B's, then the isometry's
+        draws = [None if f is not None else [density_gaussian(grid, rank, rng) for rng in rngs]
+                 for f in pinned]
+        factors = []        # per factor: its dims and every trial's (weights, flags)
+        for f, g in zip(pinned, draws):
+            if f is None:
+                mats = gaussian_densities(np.stack(g))
+                density_spectra(mats)               # DensityMatrix's checks
+                factors.append((grid, eigen_ensembles(mats)))
+            else:
+                flags = np.column_stack([s.vec for s in f.states])
+                factors.append((f.dims, [(f.weights, flags)] * len(rngs)))
+        shapes = [tuple(len(per[t][0]) for _, per in factors) for t in range(len(rngs))]
+        isos = [complex_gaussian(rng, (max(int(members), a * b), a * b))
+                for rng, (a, b) in zip(rngs, shapes)]
+        mem, iso = [None] * len(rngs), [None] * len(rngs)
+        for group in _by_shape(shapes).values():
+            stacks = [(d, *(np.stack(x) for x in zip(*(per[t] for t in group))))
+                      for d, per in factors]
+            u = haar_isometries(np.stack([isos[t] for t in group]))
+            for t, u_t, mem_t in zip(group, u, product_decomposition_members(*stacks, u)):
+                iso[t], mem[t] = u_t, mem_t
+        gaps = [np.array([d[key] for d in m]) for m in mem]
+        best = [int(np.argmin(g)) for g in gaps]
         if name == "question2":
-            for d in mem:
-                extra["min_gap_question1"] = min(extra["min_gap_question1"],
-                                                 d["gap_question1"])
-                if d["gap_question2"] >= -GAP_TOL and d["gap_question1"] < -GAP_TOL:
-                    extra["implication_failures"] += 1
-        return float(gaps[at]), {"member": mem[at]["index"], "members": len(mem)}, lambda: {
-            "member": mem[at]["index"],
-            "factor_a": ensemble_to_payload(fa), "factor_b": ensemble_to_payload(fb),
-            "isometry": {"shape": [int(m), int(n)],
-                         "data": complex_to_pairs(iso.reshape(-1))}}
+            q1 = np.array([d["gap_question1"] for m in mem for d in m])
+            q2 = np.array([d["gap_question2"] for m in mem for d in m])
+            extra["min_gap_question1"] = min(extra["min_gap_question1"],
+                                             float(q1[np.argmin(q1)]))
+            extra["implication_failures"] += int(np.count_nonzero(
+                (q2 >= -GAP_TOL) & (q1 < -GAP_TOL)))
 
-    return _search(name, trials, seed, slack, SEARCH_CAVEAT, extra, trial)
+        def instance(k: int) -> dict:
+            fa, fb = (Ensemble(per[k][0], tuple(PureState(d, e) for e in per[k][1].T))
+                      for d, per in factors)
+            return {"member": mem[k][best[k]]["index"],
+                    "factor_a": ensemble_to_payload(fa), "factor_b": ensemble_to_payload(fb),
+                    "isometry": {"shape": list(iso[k].shape),
+                                 "data": complex_to_pairs(iso[k].reshape(-1))}}
+
+        return (np.array([g[b] for g, b in zip(gaps, best)]),
+                [{"member": m[b]["index"], "members": len(m)} for m, b in zip(mem, best)],
+                instance)
+
+    trial_size = max(int(members), ranks[0] * ranks[1]) * sizes[0] * sizes[1]
+    return _search(name, trials, seed, slack, SEARCH_CAVEAT, extra, trial_size, run)
 
 
 def probe_question1(factor_a=None, factor_b=None, trials: int = 100,

@@ -1,8 +1,9 @@
 """Dense complex matrix helpers: coercion, Hermitian checks, eigensystems.
 
-`as_cmatrix` validates a matrix, and `herm_eig` checks Hermitian symmetry
-and gives the deterministic eigensystem (non-increasing eigenvalues,
-canonical phases) that the ensemble map is built on.  The error classes
+`as_cmatrix` validates a matrix or a stack of them, and `herm_eig` checks
+Hermitian symmetry and gives the deterministic eigensystem (non-increasing
+eigenvalues, canonical phases) that the ensemble map is built on, for one
+matrix or a stack.  The error classes
 here are shared by every module.  Hot loops elsewhere call numpy directly.
 """
 
@@ -36,9 +37,10 @@ class HermEig(NamedTuple):
 
 
 def as_cmatrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex array, rejecting non-finite entries."""
+    """Coerce to a complex matrix, or a (..., r, c) stack of them, rejecting
+    non-finite entries."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
+    if m.ndim < 2:
         raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
@@ -46,27 +48,28 @@ def as_cmatrix(a) -> np.ndarray:
 
 
 def herm_eig(a, tol: float = HERM_TOL) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each in a (..., d, d) stack.
 
     Eigenvalues come back in non-increasing order and each eigenvector's
     first significant component is made real positive, so the result is a
-    deterministic function of the input.  Inputs further than `tol` from
-    Hermitian raise SymmetryError; closer ones are Hermitized first.
+    deterministic function of the input, and a matrix gets the same bits
+    alone as in a stack.  Inputs further than `tol` from Hermitian raise
+    SymmetryError; closer ones are Hermitized first.
     """
     a = as_cmatrix(a)
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         raise ShapeError(f"herm_eig needs a square matrix, got {a.shape}")
-    adjoint = a.conj().T
+    adjoint = np.swapaxes(a.conj(), -1, -2)
     if a.size and float(np.max(np.abs(a - adjoint))) > tol:
         raise SymmetryError(f"matrix is not Hermitian within {tol:g}")
     w, v = np.linalg.eigh((a + adjoint) / 2)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    # canonical phase: first component with magnitude above threshold -> real positive
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        idx = np.argmax(np.abs(col) > 1e-8)
-        pivot = col[idx]
-        if np.abs(pivot) > 0:
-            v[:, k] = col * (np.abs(pivot) / pivot)
-    return HermEig(w, v)
+    w = w[..., ::-1].copy()
+    v = v[..., ::-1].copy()
+    # canonical phase: first component with magnitude above threshold -> real
+    # positive; a column with a zero pivot is left as it is
+    first = np.argmax(np.abs(v) > 1e-8, axis=-2)[..., None, :]
+    pivot = np.take_along_axis(v, first, axis=-2)
+    size = np.abs(pivot)
+    live = size > 0
+    phase = np.divide(size, pivot, out=np.ones_like(pivot), where=live)
+    return HermEig(w, np.where(live, v * phase, v))

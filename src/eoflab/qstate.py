@@ -31,7 +31,8 @@ class NormalizationError(ValueError):
     """Weights or amplitudes that should sum/norm to one do not."""
 
 
-def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
+def check_dims(dims: Sequence[int]) -> tuple[int, ...]:
+    """Subsystem dimensions as ints, each >= 1, with a total within DEFAULT_MAX_DIM."""
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"invalid subsystem dimensions {dims}")
@@ -72,7 +73,7 @@ def check_state_vectors(dims: Sequence[int], vecs: np.ndarray) -> tuple[int, ...
     The dims must be valid, D must be their product, and each vector must be
     finite with unit norm within 1e-9.
     """
-    dims = _check_dims(dims)
+    dims = check_dims(dims)
     if vecs.shape[-1] != math.prod(dims):
         raise ShapeError(f"vector length {vecs.shape[-1]} does not match dims {dims}")
     if not np.isfinite(vecs).all():
@@ -96,7 +97,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        dims = _check_dims(self.dims)
+        dims = check_dims(self.dims)
         mat = as_cmatrix(self.mat).copy()
         d = math.prod(dims)
         if mat.shape != (d, d):
@@ -277,14 +278,14 @@ def schmidt(psi: PureState, cut: Iterable[int]) -> SchmidtDecomposition:
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Tensor product state; subsystem lists concatenate."""
     dims = a.dims + b.dims
-    _check_dims(dims)
+    check_dims(dims)
     return DensityMatrix(dims, np.kron(a.mat, b.mat))
 
 
 def tensor_pure(a: PureState, b: PureState) -> PureState:
     """Tensor product of pure states; subsystem lists concatenate."""
     dims = a.dims + b.dims
-    _check_dims(dims)
+    check_dims(dims)
     return PureState(dims, np.kron(a.vec, b.vec))
 
 

@@ -3,6 +3,10 @@
 All sampling goes through numpy's default_rng (PCG64); seeds are taken
 verbatim, so equal seeds reproduce equal states bit for bit.  A Generator
 passed as the seed is used as is, so successive draws continue its stream.
+Each sampler is a draw of raw Gaussians followed by a builder that takes a
+stack of them (`gaussian_densities`, `unit_vectors`, `haar_isometries`,
+`case1_vectors`); a builder gives every matrix of a stack the bits it gets
+alone, so a caller may draw many samples and build them in one call.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from .ensembles import Ensemble
 from .qmat import ShapeError
-from .qstate import DensityMatrix, PureState
+from .qstate import DensityMatrix, PureState, check_dims
 
 
 class ConstraintError(ValueError):
@@ -58,14 +62,17 @@ def case1_state(spec: Case1Spec) -> PureState:
     Subsystem order is (A, B, A', B') with dims (rows, rows, cols, cols):
     the first pair shares the row index, the second pair the column index.
     """
-    w = spec.weights
-    r, c = w.shape
-    amp = np.sqrt(w)
-    vec = np.zeros((r, r, c, c), dtype=np.complex128)
-    for a in range(r):
-        for b in range(c):
-            vec[a, a, b, b] = amp[a, b]
-    return PureState((r, r, c, c), vec.reshape(-1))
+    r, c = spec.weights.shape
+    return PureState((r, r, c, c), case1_vectors(spec.weights[None])[0])
+
+
+def case1_vectors(weights: np.ndarray) -> np.ndarray:
+    """case1_state's amplitude vectors for a (N, r, c) stack of weight matrices, unchecked."""
+    n, r, c = weights.shape
+    vec = np.zeros((n, r, r, c, c), dtype=np.complex128)
+    a, b = np.indices((r, c))
+    vec[:, a, a, b, b] = np.sqrt(weights)
+    return vec.reshape(n, -1)
 
 
 def case1_conditional(spec: Case1Spec, row: int) -> PureState:
@@ -250,13 +257,22 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
 def random_density_dims(dims: Sequence[int], rank: int, seed) -> DensityMatrix:
     """G G† / Tr on the given grid, G a prod(dims) x rank seeded complex Gaussian."""
-    dims = tuple(int(x) for x in dims)
-    d = math.prod(dims)
+    return DensityMatrix(dims, gaussian_densities(density_gaussian(dims, rank, seed)))
+
+
+def density_gaussian(dims: Sequence[int], rank: int, seed) -> np.ndarray:
+    """The Gaussian G that random_density_dims draws, after its rank and dims checks."""
+    d = math.prod(int(x) for x in dims)
     if not 1 <= rank <= d:
         raise ValueError(f"rank {rank} outside 1..{d}")
-    g = complex_gaussian(np.random.default_rng(seed), (d, rank))
-    mat = g @ g.conj().T
-    return DensityMatrix(dims, mat / mat.trace().real)
+    check_dims(dims)    # before a caller builds G G†, which a huge d could not hold
+    return complex_gaussian(np.random.default_rng(seed), (d, rank))
+
+
+def gaussian_densities(g: np.ndarray) -> np.ndarray:
+    """G G† / Tr(G G†) for G, or for each G of a (..., d, rank) stack, unchecked."""
+    mat = g @ np.swapaxes(g.conj(), -1, -2)
+    return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_density(d: int, rank: int, seed) -> DensityMatrix:
@@ -268,7 +284,17 @@ def random_pure(dims: Sequence[int], seed) -> PureState:
     """Haar-like random unit vector on the given grid."""
     dims = tuple(int(x) for x in dims)
     v = complex_gaussian(np.random.default_rng(seed), math.prod(dims))
-    return PureState(dims, v / np.linalg.norm(v))
+    return PureState(dims, unit_vectors(v))
+
+
+def unit_vectors(v: np.ndarray) -> np.ndarray:
+    """v over its norm, for a vector or each row of a (..., D) stack.
+
+    Each squared norm sums the real and the imaginary parts as two BLAS dot
+    products, as np.linalg.norm does for one vector."""
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return v / np.sqrt(sq[..., 0])
 
 
 def random_isometry(m: int, n: int, seed) -> np.ndarray:
@@ -278,11 +304,15 @@ def random_isometry(m: int, n: int, seed) -> np.ndarray:
     """
     if m < n:
         raise ShapeError(f"need m >= n, got ({m}, {n})")
-    g = complex_gaussian(np.random.default_rng(seed), (m, n))
+    return haar_isometries(complex_gaussian(np.random.default_rng(seed), (m, n)))
+
+
+def haar_isometries(g: np.ndarray) -> np.ndarray:
+    """random_isometry's QR and phase fix for G, or for each G of a (..., m, n) stack."""
     q, r = np.linalg.qr(g)
-    diag = np.diagonal(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[np.abs(diag) < 1e-300] = 1.0
-    return q * (diag / np.abs(diag)).conj()
+    return q * (diag / np.abs(diag)).conj()[..., None, :]
 
 
 def random_unitary(n: int, seed) -> np.ndarray:

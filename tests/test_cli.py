@@ -4,10 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import eoflab
 from eoflab import eof_wootters_2q, load_ensemble, load_state, werner_state
 from eoflab.cli import main
 
@@ -235,6 +239,47 @@ def test_verify_all_takes_an_option_one_check_reads(capsys):
     assert out == ""
     assert "does not read" not in err
     assert "samples must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "all", "--dims", "2,2"),
+    ("verify", "all", "--dims", "2,3,4"),
+    ("verify", "all", "--samples", "2", "--dims", "3"),
+], ids=" ".join)
+def test_verify_all_refuses_dims(capsys, argv):
+    # --dims is a pool of system dimensions for flagged and strong-concavity
+    # and the three subsystem dimensions for ssa, so `all` cannot take it
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "'eof verify all' does not take --dims" in err
+
+
+def test_verify_all_refuses_dims_from_config(tmp_path, capsys):
+    cfg = tmp_path / "eof.cfg"
+    cfg.write_text("dims=2,2\n")
+    code, out, err = run(capsys, "verify", "all", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "'eof verify all' does not take --dims" in err
+
+
+def test_probe_leaves_the_optimizer_unloaded():
+    # eoflab.eof imports scipy alone; scipy.optimize loads at the first
+    # search, and no probe runs one
+    script = ("import sys\n"
+              "from eoflab.cli import main\n"
+              "code = main(['probe', 'question1', '--trials', '2'])\n"
+              "print('exit', code, 'optimize loaded:', 'scipy.optimize' in sys.modules,"
+              " file=sys.stderr)\n")
+    src = os.path.dirname(os.path.dirname(eoflab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["trials"] == 2
+    assert "optimize loaded: False" in res.stderr
 
 
 class TestProbe:
