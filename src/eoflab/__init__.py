@@ -48,6 +48,7 @@ from .eof import (
     eof_pure,
     eof_wootters_2q,
     minimize_over_decompositions,
+    wootters_decomposition,
 )
 from .statezoo import (
     Case1Spec,

@@ -19,7 +19,8 @@ seeded by (seed, restart index), so the whole estimate is deterministic for
 fixed options.
 
 Every value this module produces is an upper bound on the true EoF; only the
-two-qubit closed form is exact.
+two-qubit closed form, and the decomposition that attains it
+(`wootters_decomposition`), are exact.
 """
 
 from __future__ import annotations
@@ -73,6 +74,12 @@ _TINY = np.finfo(float).tiny
 _LN2 = math.log(2.0)
 
 
+def _flip_tau(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Y x Y) X and the complex symmetric tau = X^T (Y x Y) X of a (..., 4, k) stack of X."""
+    flip = x[..., ::-1, :] * _YY_SIGNS[:, None]
+    return flip, np.swapaxes(x, -1, -2) @ flip
+
+
 def concurrence_factors(x: np.ndarray, gradient: bool = False):
     """Two-qubit concurrence of rho = X X^dagger for a (N, 4, k) stack of X.
 
@@ -84,8 +91,7 @@ def concurrence_factors(x: np.ndarray, gradient: bool = False):
     W = U diag(1, -1, ..., -1) V^dagger from the same SVD tau = U S V^dagger,
     and the zero subgradient where C clips to 0.
     """
-    flip = x[..., ::-1, :] * _YY_SIGNS[:, None]                 # (Y x Y) X
-    tau = np.swapaxes(x, -1, -2) @ flip
+    flip, tau = _flip_tau(x)
     if not gradient:
         s = np.linalg.svd(tau, compute_uv=False)
         return np.maximum(0.0, s[..., 0] - s[..., 1:].sum(axis=-1))
@@ -150,6 +156,111 @@ def eof_wootters_2q(rho: DensityMatrix) -> float:
     """Exact two-qubit EoF via the concurrence closed form."""
     _require_two_qubits(rho)
     return float(eof_wootters_stack(rho.mat[None])[0])
+
+
+def _takagi(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s, descending, and a unitary Q with tau = Q diag(s) Q^T, for a complex symmetric n x n tau.
+
+    With tau = A + iB, q = a + ib solves tau conj(q) = s q exactly when [a; b]
+    is an eigenvector of the real symmetric [[A, B], [B, -A]] for the
+    eigenvalue s, whose spectrum is the singular values of tau and their
+    negatives.  The n largest eigenpairs give s and the columns of Q.  Where a
+    singular value repeats, eigh's basis of its eigenspace is free, and the
+    columns read off it can be dependent (q and i q both); the Householder QR
+    makes Q unitary and changes a well-separated column at most by a sign,
+    which keeps tau conj(q) = s q.
+    """
+    n = tau.shape[0]
+    a, b = tau.real, tau.imag
+    w, v = np.linalg.eigh(np.block([[a, b], [b, -a]]))
+    top = v[:, : -n - 1 : -1]
+    q, _ = np.linalg.qr(top[:n] + 1j * top[n:])
+    return np.maximum(w[: -n - 1 : -1], 0.0), q
+
+
+def _zero_diagonal(m: np.ndarray) -> np.ndarray:
+    """A real orthogonal O with diag(O m O^T) = 0, for a real symmetric traceless m.
+
+    Each Givens rotation, in the plane of the largest entry a > 0 and the
+    smallest c < 0 of the diagonal, turns a to 0 and leaves the zeros made
+    before, so n - 1 rotations finish an n x n m.
+    """
+    n = len(m)
+    o = np.eye(n)
+    for _ in range(n - 1):
+        d = np.diag(m)
+        i, j = int(np.argmax(d)), int(np.argmin(d))
+        a, b, c = m[i, i], m[i, j], m[j, j]
+        if not a > 0.0 > c:
+            break
+        # t = tan(angle) solves a + 2 b t + c t^2 = 0; as a c < 0, q != 0
+        q = -(b + math.copysign(math.sqrt(b * b - a * c), b))
+        t = a / q
+        g = np.eye(n)
+        g[i, i] = g[j, j] = 1.0 / math.sqrt(1.0 + t * t)
+        g[i, j] = t * g[i, i]
+        g[j, i] = -g[i, j]
+        m = g @ m @ g.T
+        o = g @ o
+    return o
+
+
+def _closing_phases(s: np.ndarray) -> np.ndarray:
+    """Phases theta with sum_j s_j exp(i theta_j) = 0, for s1 >= s2 >= s3 >= s4 >= 0
+    and s1 <= s2 + s3 + s4.
+
+    The quadrilateral closes along a diagonal of length L = max(s1 - s2, s3 - s4),
+    which makes triangles with the sides (s1, s2) and with (s3, s4).
+    """
+    diag = max(s[0] - s[1], s[2] - s[3])
+    if diag <= 0.0:                          # s1 = s2 and s3 = s4
+        return np.array([0.0, math.pi, 0.0, math.pi])
+
+    def triangle(a: float, b: float) -> list[complex]:
+        # z = x + iy with |z| = a >= b = |diag - z|; a - x = (b^2 - (a - L)^2) / 2L
+        # in factored form keeps y accurate for a flat triangle (b << a)
+        a_minus_x = (b - (a - diag)) * (b + (a - diag)) / (2.0 * diag)
+        z = complex(a - a_minus_x, math.sqrt(max(a_minus_x * (2.0 * a - a_minus_x), 0.0)))
+        return [z, diag - z]
+
+    return np.angle(triangle(s[0], s[1]) + [-z for z in triangle(s[2], s[3])])
+
+
+# the 4 x 4 Hadamard matrix over 2: every entry is +-1/2, so each member of
+# Y H_4 weighs every column of Y by 1/4
+_HADAMARD_4 = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+
+
+def wootters_decomposition(rho: DensityMatrix) -> Ensemble:
+    """An exact optimal decomposition of a two-qubit state (Wootters, PRL 80, 2245 (1998)).
+
+    Every member has the concurrence C of rho, so the average entanglement
+    is eof_wootters_2q(rho).  The subnormalized eigenvectors V (padded to
+    four columns) give tau = V^T (Y x Y) V; its Takagi factorization
+    tau = Q diag(s) Q^T makes X = V conj(Q) a factor of rho = X X^dagger
+    with x_i^T (Y x Y) x_j = s_i delta_ij, and C = s1 - s2 - s3 - s4.  For
+    C > 0, Y = X diag(1, i, i, i) has the traceless real
+    M = diag(s1, -s2, -s3, -s4) - C Re(Y^dagger Y), and the members Y O^T,
+    for a rotation O that zeroes the diagonal of O M O^T, each have
+    concurrence C.  For C <= 0, phases with sum_j s_j exp(i theta_j) = 0 make
+    every member of X diag(exp(i theta / 2)) H_4 separable.  Members of
+    weight below hjw_ensemble's ptol are dropped.
+    """
+    _require_two_qubits(rho)
+    lam, vecs = support_decomposition(rho)
+    basis = np.zeros((4, 4), dtype=np.complex128)
+    basis[:, : lam.size] = vecs * np.sqrt(lam)
+    s, q = _takagi(_flip_tau(basis)[1])
+    conc = s[0] - s[1:].sum()
+    if conc > 0.0:
+        u = q.conj() * np.array([1.0, 1j, 1j, 1j])
+        y = basis @ u
+        m = np.diag(s * np.array([1.0, -1.0, -1.0, -1.0])) - conc * (y.conj().T @ y).real
+        u = u @ _zero_diagonal(m).T
+    else:
+        u = q.conj() * np.exp(0.5j * _closing_phases(s)) @ _HADAMARD_4
+    # members are the columns of basis u, that is of V u over the support
+    return hjw_ensemble(rho, u[: lam.size].T)
 
 
 def entropy_value_grad(x: np.ndarray) -> tuple[float, np.ndarray]:

@@ -28,6 +28,7 @@ from eoflab import (
     tensor,
     von_neumann_entropy,
     werner_state,
+    wootters_decomposition,
 )
 from eoflab.statezoo import random_density_dims, random_isometry, random_unitary
 
@@ -140,6 +141,93 @@ class TestWootters:
         np.testing.assert_allclose(_eof_from_concurrence(conc)[0],
                                    [spectral_entropy([x, 1 - x], floor=0.0) for x in halves],
                                    rtol=0, atol=1e-12)
+
+
+def _assert_exact_decomposition(rho):
+    # an optimal decomposition: it mixes back to rho, averages to the closed
+    # form, and every member carries rho's concurrence
+    e = wootters_decomposition(rho)
+    np.testing.assert_allclose(mix(e).mat, rho.mat, rtol=0, atol=1e-12)
+    assert ensemble_average_entanglement(e, [0]) == pytest.approx(eof_wootters_2q(rho), abs=1e-12)
+    conc = concurrence_2q(rho)
+    members = [concurrence_2q(s.to_density()) for s in e.states]
+    np.testing.assert_allclose(members, conc, rtol=0, atol=1e-10)
+    return e, conc
+
+
+def _bell_diagonal(weights):
+    bells = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2.0)
+    w = np.zeros(4)
+    w[: len(weights)] = weights
+    return DensityMatrix((2, 2), (bells.T * w) @ bells)
+
+
+class TestWoottersDecomposition:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(rank=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_random_states_in_local_frames(self, rank, seed):
+        rho = random_density_dims((2, 2), rank, [80, seed])
+        local = np.kron(random_unitary(2, [81, seed]), random_unitary(2, [82, seed]))
+        framed = local @ rho.mat @ local.conj().T
+        _assert_exact_decomposition(DensityMatrix((2, 2), (framed + framed.conj().T) / 2))
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_bell_states(self, k):
+        e, conc = _assert_exact_decomposition(_bell_diagonal([0.0] * k + [1.0]))
+        assert conc == pytest.approx(1.0, abs=1e-12)
+        assert len(e) == 1
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_pure_product_states(self, index):
+        _, conc = _assert_exact_decomposition(PureState((2, 2), np.eye(4)[index]).to_density())
+        assert conc == pytest.approx(0.0, abs=1e-12)
+
+    def test_maximally_mixed(self):
+        _assert_exact_decomposition(DensityMatrix((2, 2), np.eye(4) / 4))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equal_weight_bell_diagonal(self, n):
+        _, conc = _assert_exact_decomposition(_bell_diagonal([1.0 / n] * n))
+        assert conc == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("phi", [k / 10 for k in range(-10, 11)])
+    def test_werner_grid(self, phi):
+        # separable from phi = 0 (the boundary) up
+        _, conc = _assert_exact_decomposition(werner_state(2, phi))
+        if phi >= 0:
+            assert conc == pytest.approx(0.0, abs=1e-12)
+
+    def test_dims_guard(self):
+        with pytest.raises(ValueError):
+            wootters_decomposition(random_density_dims((2, 3), 2, 11))
+
+    @pytest.mark.parametrize("s", [[0.6, 0.0, 0.0, 0.0], [0.5, 0.3, 0.0, 0.0],
+                                   [0.4, 0.4, 0.4, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    def test_takagi_with_repeated_singular_values(self, s):
+        # a repeated singular value leaves the eigenvectors' basis free, so
+        # the columns read off it need not be orthonormal as complex vectors
+        from eoflab.eof import _takagi
+
+        q0 = random_unitary(4, 90)
+        tau = q0 @ np.diag(s) @ q0.T
+        got, q = _takagi(tau)
+        np.testing.assert_allclose(got, s, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(4), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q @ np.diag(got) @ q.T, tau, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("s", [
+        # s4 ~ 0 makes the (s3, s4) triangle flat
+        [0.339269809, 0.205145829, 0.180302054, 2.1e-17],
+        [0.389527094, 0.252158127, 0.178516080, 3.4e-18],
+        [0.333637552, 0.329467353, 0.101046141, 0.0],
+        [0.5, 0.25, 0.15, 0.1],                      # s1 = s2 + s3 + s4
+        [0.3, 0.3, 0.2, 0.2],
+        [0.25, 0.25, 0.25, 0.25]])
+    def test_closing_phases_close_the_quadrilateral(self, s):
+        from eoflab.eof import _closing_phases
+
+        closure = np.sum(np.array(s) * np.exp(1j * _closing_phases(np.array(s))))
+        assert abs(closure) <= 1e-15
 
 
 class TestEofOptions:
