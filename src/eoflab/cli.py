@@ -5,12 +5,14 @@ check), probe (randomized counterexample search), zoo (write example state
 files).  `eoflab.reports` prints every report and payload: JSON (default)
 or CSV on stdout, and a one-line summary per report on stderr.  Exit codes:
 0 pass, 1 a check failed or a probe found a violation, 2 usage or input
-errors, an option the chosen check or probe does not read among them.
+errors, among them an option that the chosen check, probe or zoo family,
+or `compute` on a pure state, does not read.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -108,6 +110,30 @@ def _eof_options(args: argparse.Namespace) -> EofOptions | None:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _eof_of_pure(state: PureState, cut) -> dict:
+    return {"kind": "pure", "value": eof_pure(state, cut)}
+
+
+def _eof_of_density(state, cut, opts: EofOptions | None = None,
+                    dump_ensemble: str | None = None) -> dict:
+    est = eof_minimize(state, cut, opts)
+    out = {
+        "kind": "density",
+        "value": est.value,
+        "converged": est.converged,
+        "restarts": est.restarts_used,
+        "iterations": est.iterations,
+        "restart_values": list(est.restart_values),
+        "ensemble_members": len(est.best_ensemble),
+    }
+    if state.dims == (2, 2):
+        out["closed_form"] = eof_wootters_2q(state)
+    if dump_ensemble:
+        save_ensemble(dump_ensemble, est.best_ensemble)
+        out["ensemble_file"] = dump_ensemble
+    return out
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     state = load_state(args.state)
     cut = args.cut
@@ -118,28 +144,13 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             print("error: --cut is required for states with more than two "
                   "subsystems", file=sys.stderr)
             return 2
-    out: dict = {"dims": list(state.dims), "cut": list(cut)}
-    if isinstance(state, PureState):
-        out["kind"] = "pure"
-        out["value"] = eof_pure(state, cut)
-    else:
-        opts = _eof_options(args) or EofOptions()
-        est = eof_minimize(state, cut, opts)
-        out.update({
-            "kind": "density",
-            "value": est.value,
-            "converged": est.converged,
-            "restarts": est.restarts_used,
-            "iterations": est.iterations,
-            "restart_values": list(est.restart_values),
-            "ensemble_members": len(est.best_ensemble),
-        })
-        if state.dims == (2, 2):
-            out["closed_form"] = eof_wootters_2q(state)
-        if args.dump_ensemble:
-            save_ensemble(args.dump_ensemble, est.best_ensemble)
-            out["ensemble_file"] = args.dump_ensemble
-    print_payload(out, args.format or "json")
+    kind = "pure" if isinstance(state, PureState) else "density"
+    compute = {
+        "pure": (functools.partial(_eof_of_pure, state, cut), ()),
+        "density": (functools.partial(_eof_of_density, state, cut), ("opts", "dump_ensemble")),
+    }
+    [result] = _run(compute, (kind,), args, f"'eof compute' on a {kind} state")
+    print_payload({"dims": list(state.dims), "cut": list(cut), **result}, args.format or "json")
     return 0
 
 
@@ -157,8 +168,30 @@ def _relation_chain(seed: int = 0, **kw) -> CheckReport:
     return relation_chain_check(*pair, **kw)
 
 
-def _tables() -> tuple[dict, dict]:
-    """verify check and probe relation -> (function, the options it reads).
+def _zoo_case1(seed: int = 0, shape: tuple[int, ...] = (2, 2), uniform: bool = False):
+    if uniform:
+        w = np.full(shape, 1.0 / (shape[0] * shape[1]))
+    else:
+        rng = np.random.default_rng([seed, 0])
+        w = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
+    return case1_state(Case1Spec(w))
+
+
+def _zoo_case2(product_weight: float = 0.5, d: int = 3):
+    return case2_factor(two_block_spec(product_weight, d))
+
+
+def _zoo_werner(phi: float = -0.85, d: int = 2, two_pair: bool = False):
+    return werner_two_pair(phi) if two_pair else werner_state(d, phi)
+
+
+def _zoo_random(seed: int = 0, dims: tuple[int, ...] = (2, 2), rank: int = 2,
+                pure: bool = False):
+    return random_pure(dims, [seed, 1]) if pure else random_density_dims(dims, rank, [seed, 1])
+
+
+def _tables() -> tuple[dict, dict, dict]:
+    """verify check, probe relation and zoo family -> (function, the options it reads).
 
     Options pass under their own names; "opts" is the search options as one
     EofOptions.  Built per command, so the functions are looked up when it
@@ -180,19 +213,26 @@ def _tables() -> tuple[dict, dict]:
         "question2": (probe_question2, question),
         "superadditivity": (superadditivity_probe, ("trials", "seed", "slack", "source", "phi")),
     }
-    return verify, probe
+    zoo = {
+        "case1": (_zoo_case1, ("seed", "shape", "uniform")),
+        "case2": (_zoo_case2, ("product_weight", "d")),
+        "werner": (_zoo_werner, ("phi", "d", "two_pair")),
+        "random": (_zoo_random, ("seed", "dims", "rank", "pure")),
+    }
+    return verify, probe, zoo
 
 
-def _run(table: dict, names, args: argparse.Namespace, command: str) -> list:
-    """Reports of the named table entries, each called with the options it reads.
+def _run(table: dict, names, args: argparse.Namespace, subject: str) -> list:
+    """Outputs of the named table entries, each called with the options it reads.
 
-    An option set (by flag or --config) that none of them reads is an error."""
+    An option set (by flag or --config) that none of them reads is an error,
+    which names `subject` as what does not read it."""
     reads = {name: {o for k in keywords for o in (_SEARCH if k == "opts" else (k,))}
              for name, (_, keywords) in table.items()}
     unread = set().union(*reads.values()) - set().union(*(reads[n] for n in names))
     unread = sorted(o for o in unread if getattr(args, o) is not None)
     if unread:
-        raise ValueError(f"'eof {command}' does not read "
+        raise ValueError(f"{subject} does not read "
                          + ", ".join("--" + o.replace("_", "-") for o in unread))
     reports = []
     for name in names:
@@ -206,52 +246,27 @@ def _run(table: dict, names, args: argparse.Namespace, command: str) -> list:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    verify, _ = _tables()
+    verify, _, _ = _tables()
     if args.check == "all" and args.dims is not None:
         raise ValueError("'eof verify all' does not take --dims: flagged and "
                          "strong-concavity read it as a pool of system dimensions, "
                          "ssa as its three subsystem dimensions")
     names = tuple(verify) if args.check == "all" else (args.check,)
-    reports = _run(verify, names, args, f"verify {args.check}")
+    reports = _run(verify, names, args, f"'eof verify {args.check}'")
     emit(reports, args.format or "json")
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    _, probe = _tables()
-    [result] = _run(probe, (args.relation,), args, f"probe {args.relation}")
+    _, probe, _ = _tables()
+    [result] = _run(probe, (args.relation,), args, f"'eof probe {args.relation}'")
     emit([result], args.format or "json")
     return 1 if result.violation_found else 0
 
 
 def _cmd_zoo(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else 0
-    if args.family == "case1":
-        shape = args.shape if args.shape is not None else (2, 2)
-        if args.uniform:
-            w = np.full(shape, 1.0 / (shape[0] * shape[1]))
-        else:
-            rng = np.random.default_rng([seed, 0])
-            w = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
-        state = case1_state(Case1Spec(w))
-    elif args.family == "case2":
-        lam = args.product_weight if args.product_weight is not None else 0.5
-        state = case2_factor(two_block_spec(lam, args.d if args.d is not None else 3))
-    elif args.family == "werner":
-        phi = args.phi if args.phi is not None else -0.85
-        if args.two_pair:
-            state = werner_two_pair(phi)
-        else:
-            state = werner_state(args.d if args.d is not None else 2, phi)
-    elif args.family == "random":
-        dims = args.dims if args.dims is not None else (2, 2)
-        if args.pure:
-            state = random_pure(dims, [seed, 1])
-        else:
-            state = random_density_dims(dims, args.rank if args.rank is not None else 2,
-                                        [seed, 1])
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
+    _, _, zoo = _tables()
+    [state] = _run(zoo, (args.family,), args, f"'eof zoo {args.family}'")
     save_state(args.out, state)
     kind = "pure" if isinstance(state, PureState) else "density"
     print_payload({"written": args.out, "family": args.family,
@@ -276,7 +291,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser.add_argument("--format", choices=_FORMATS,
                         help="report format on stdout (default json)")
     sub = parser.add_subparsers(dest="command", required=True)
-    verify, probe = _tables()
+    verify, probe, zoo = _tables()
 
     # per subcommand parser: option dest -> its choices (None: any value)
     config_keys: dict[argparse.ArgumentParser, dict[str, tuple | None]] = {}
@@ -337,20 +352,22 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("zoo", help="write an example state file")
     common(p)
-    p.add_argument("family", choices=("case1", "case2", "werner", "random"))
+    p.add_argument("family", choices=tuple(zoo))
     p.add_argument("--out", required=True, help="output state file")
     opt(p, "--seed", type=int)
     opt(p, "--shape", type=_dims_arg, help="case1 weight-matrix shape, e.g. 2,3")
-    p.add_argument("--uniform", action="store_true",
+    # the store_true flags default to None, so that _run sees whether they were given
+    p.add_argument("--uniform", action="store_true", default=None,
                    help="case1: uniform weights instead of random")
     opt(p, "--product-weight", type=float, dest="product_weight")
     opt(p, "--d", type=int)
     opt(p, "--phi", type=float)
-    p.add_argument("--two-pair", action="store_true", dest="two_pair",
+    p.add_argument("--two-pair", action="store_true", dest="two_pair", default=None,
                    help="werner: emit the four-party two-pair view")
     opt(p, "--dims", type=_dims_arg)
     opt(p, "--rank", type=int)
-    p.add_argument("--pure", action="store_true", help="random: pure instead of mixed")
+    p.add_argument("--pure", action="store_true", default=None,
+                   help="random: pure instead of mixed")
     p.set_defaults(fn=_cmd_zoo)
     return parser, {name: (p, config_keys[p]) for name, p in sub.choices.items()}
 

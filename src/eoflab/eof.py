@@ -9,14 +9,18 @@ which returns the value with its exact gradient: a member cost maps the raw
 member columns sqrt(p_i) psi_i to the value and its Wirtinger gradient,
 which is chained back through the polar factor to the parameters.  The
 member costs here are the entanglement entropy across a cut
-(`entropy_value_grad`) and the two-qubit Wootters EoF of a pair reduction
+(`entropy_value_grad`, from one eigh of the smaller Gram matrix of the
+reshaped members) and the two-qubit Wootters EoF of a pair reduction
 (`wootters_value_grad`), whose concurrence and gradient come from one
-batched kernel, `concurrence_factors`.
-Restart 0 starts from Y = [1; 0] (the eigen-decomposition), optional warm
-starts follow as their own isometries padded with zero rows, and the
-remaining restarts draw Gaussian Y (Haar-random isometries) from streams
-seeded by (seed, restart index), so the whole estimate is deterministic for
-fixed options.
+batched kernel, `concurrence_factors`; `cut_member_cost` sums either over
+several cuts of one block shape in one stacked kernel call.
+Restart 0 starts from Y = 1, rank x rank (the eigen-decomposition), optional
+warm starts follow as their own isometries, one row per member, and the
+remaining restarts draw Gaussian m x rank Y (Haar-random isometries) from
+streams seeded by (seed, restart index), so the whole estimate is
+deterministic for fixed options.  No start is padded with zero rows: a zero
+row is a member of weight 0 whose gradient is exactly 0, so L-BFGS-B would
+never move it.
 
 Every value this module produces is an upper bound on the true EoF; only the
 two-qubit closed form, and the decomposition that attains it
@@ -268,18 +272,22 @@ def entropy_value_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
 
     Member i is X_i = sqrt(p_i) psi_i reshaped across a cut.  With
     M = X X^dagger and p = tr M, the term -tr M log2(M/p) has the Wirtinger
-    gradient -log2(M/p) X, taken here from one SVD.  Terms the value drops
-    (mu <= EIG_FLOOR, or p <= 1e-15) get zero weight in the gradient too.
+    gradient -log2(M/p) X = -X log2(X^dagger X / p), taken here from one
+    eigh of the smaller of the two Gram matrices, whose eigenvalues are the
+    squared Schmidt coefficients.  Terms the value drops (mu <= EIG_FLOOR,
+    or p <= 1e-15) get zero weight in the gradient too.
     """
-    left, s, right = np.linalg.svd(x, full_matrices=False)
-    lam2 = s * s
+    xh = np.swapaxes(x, -1, -2).conj()
+    rows = x.shape[-2] <= x.shape[-1]
+    lam2, u = np.linalg.eigh(x @ xh if rows else xh @ x)
     p = lam2.sum(axis=-1)
     p_safe = np.where(p > 1e-15, p, 1.0)
     mu = lam2 / p_safe[:, None]
     mask = (mu > EIG_FLOOR) & (p[:, None] > 1e-15)
     log_mu = np.log2(np.where(mask, mu, 1.0))
     value = float(np.where(mask, -lam2 * log_mu, 0.0).sum())
-    return value, -(left * np.where(mask, s * log_mu, 0.0)[:, None, :]) @ right
+    log_m = (u * log_mu[:, None, :]) @ np.swapaxes(u, -1, -2).conj()
+    return value, -(log_m @ x if rows else x @ log_m)
 
 
 def wootters_value_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -300,21 +308,32 @@ def wootters_value_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
     return float((p * e).sum()), grad
 
 
-def cut_member_cost(dims: Sequence[int], cut, value_grad=entropy_value_grad) -> MemberCost:
-    """Member cost of `value_grad` applied to each member reshaped across the cut.
+def cut_member_cost(dims: Sequence[int], cuts: Sequence,
+                    value_grad=entropy_value_grad) -> MemberCost:
+    """Member cost: the sum over the cuts of `value_grad` applied to each
+    member reshaped across the cut.
 
-    The returned cost maps the raw (D, m) member columns sqrt(p_i) psi_i, in
-    the native subsystem order of `dims`, to (value, dF/d conj(raw)).
+    The cuts must split `dims` into blocks of one shape, so that the members
+    reshaped across every cut go to `value_grad` as one
+    (len(cuts) m, d_left, d_right) stack.  The returned cost maps the raw
+    (D, m) member columns sqrt(p_i) psi_i, in the native subsystem order of
+    `dims`, to (value, dF/d conj(raw)).
     """
-    perm, d_left, d_right = cut_permutation(dims, cut)
+    splits = [cut_permutation(dims, cut) for cut in cuts]
+    shapes = {split[1:] for split in splits}
+    if len(shapes) != 1:
+        raise ValueError(f"cuts {list(cuts)} of dims {tuple(dims)} need one block shape, "
+                         f"got {sorted(shapes)}")
+    [(d_left, d_right)] = shapes
+    perms = np.array([split[0] for split in splits])            # (k, D)
+    k, size = perms.shape
+    # flat positions in a member's k permuted copies of each native index
+    back = np.argsort(perms, axis=1) + size * np.arange(k)[:, None]
 
     def cost(raw: np.ndarray) -> tuple[float, np.ndarray]:
         m = raw.shape[1]
-        x = raw[perm, :].reshape(d_left, d_right, m).transpose(2, 0, 1)
-        value, g = value_grad(x)
-        g_raw = np.empty_like(raw)
-        g_raw[perm, :] = g.reshape(m, -1).T
-        return value, g_raw
+        value, g = value_grad(raw.T[:, perms].reshape(m * k, d_left, d_right))
+        return value, g.reshape(m, k * size)[:, back].sum(axis=1).T
 
     return cost
 
@@ -385,7 +404,7 @@ class _DecompositionObjective:
         lam, vecs = support_decomposition(rho)
         self.rank = int(lam.size)
         self.basis = vecs * np.sqrt(lam)
-        self.cost = member_cost if member_cost is not None else cut_member_cost(rho.dims, cut)
+        self.cost = member_cost if member_cost is not None else cut_member_cost(rho.dims, [cut])
 
     def _polar(self, x: np.ndarray):
         """Y, S^{-1/2} and (sqrt(s), W) from S = Y^dagger Y = W diag(s) W^dagger."""
@@ -414,13 +433,12 @@ class _DecompositionObjective:
         return value, 2.0 * _pack(g_y)
 
 
-def _params_for_ensemble(rho: DensityMatrix, e: Ensemble, m: int) -> np.ndarray:
+def _params_for_ensemble(rho: DensityMatrix, e: Ensemble) -> np.ndarray:
     """Parameter vector whose polar factor reproduces the given decomposition.
 
-    The isometry of e, padded with zero rows to m members, is its own polar factor.
+    The isometry of e, one row per member, is its own polar factor.
     """
-    u = isometry_for_ensemble(rho, e)
-    return _pack(np.pad(u, ((0, m - u.shape[0]), (0, 0))))
+    return _pack(isometry_for_ensemble(rho, e))
 
 
 def resolve_ensemble_size(rank: int, requested: int | str, warm_sizes: Sequence[int] = ()) -> int:
@@ -452,14 +470,21 @@ def minimize_over_decompositions(
     The gradient is chained through the polar factor to the parameters, so one
     L-BFGS-B evaluation is one objective call, which calls the member cost
     once.
+
+    Each start runs at its own member count m, read from its parameter
+    vector: the eigen start at rank, a warm start at its member count, and
+    the random restarts at `resolve_ensemble_size` (which floors m at the
+    warm starts' sizes).  Zero rows added to a start would get a zero
+    gradient and never move, so leaving them out keeps every restart the
+    same search.
     """
     opts = opts if opts is not None else EofOptions()
     obj = _DecompositionObjective(rho, tuple(cut), member_cost)
     rank = obj.rank
     m = resolve_ensemble_size(rank, opts.ensemble_size, [len(e) for e in warm_starts])
 
-    starts = [_pack(np.eye(m, rank))]
-    starts += [_params_for_ensemble(rho, e, m) for e in warm_starts]
+    starts = [_pack(np.eye(rank))]
+    starts += [_params_for_ensemble(rho, e) for e in warm_starts]
     n_runs = max(opts.restarts, len(starts))
     for k in range(len(starts), n_runs):
         rng = np.random.default_rng([opts.seed, k])

@@ -500,17 +500,24 @@ def reevaluate_argmin(payload: dict, opts: EofOptions | None = None) -> float:
 # four-way consistency chain for products of two-qubit states
 
 def _chain_cost(left_eof: bool, right_eof: bool) -> MemberCost:
-    """S_A or E_f(AB), plus S_A' or E_f(A'B'), of members on parties (A, B, A', B')."""
+    """S_A or E_f(AB), plus S_A' or E_f(A'B'), of members on parties (A, B, A', B').
+
+    The cuts that share a kernel are evaluated in one stacked call.
+    """
     dims = (2, 2, 2, 2)
-    left = (cut_member_cost(dims, (0, 1), wootters_value_grad) if left_eof
-            else cut_member_cost(dims, (0,), entropy_value_grad))
-    right = (cut_member_cost(dims, (2, 3), wootters_value_grad) if right_eof
-             else cut_member_cost(dims, (2,), entropy_value_grad))
+    eof_cuts = [cut for cut, eof in (((0, 1), left_eof), ((2, 3), right_eof)) if eof]
+    entropy_cuts = [cut for cut, eof in (((0,), left_eof), ((2,), right_eof)) if not eof]
+    costs = [cut_member_cost(dims, cuts, kernel)
+             for cuts, kernel in ((eof_cuts, wootters_value_grad),
+                                  (entropy_cuts, entropy_value_grad)) if cuts]
+    if len(costs) == 1:
+        return costs[0]
+    eof_cost, entropy_cost = costs
 
     def cost(raw: np.ndarray) -> tuple[float, np.ndarray]:
-        left_value, left_grad = left(raw)
-        right_value, right_grad = right(raw)
-        return left_value + right_value, left_grad + right_grad
+        eof_value, eof_grad = eof_cost(raw)
+        entropy_value, entropy_grad = entropy_cost(raw)
+        return eof_value + entropy_value, eof_grad + entropy_grad
 
     return cost
 

@@ -68,6 +68,25 @@ class TestZoo:
         assert out["kind"] == "pure"
         assert load_state(path).dims == (2, 3)
 
+    def test_option_the_family_does_not_read_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        code, out, err = run(capsys, "zoo", "werner", "--shape", "2,3", "--pure",
+                             "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert "'eof zoo werner' does not read --pure, --shape" in err
+        assert not path.exists()
+
+    def test_config_option_the_family_does_not_read_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "eof.cfg"
+        cfg.write_text("rank=3\n")
+        path = tmp_path / "f.json"
+        code, out, err = run(capsys, "zoo", "case2", "--out", str(path), "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "'eof zoo case2' does not read --rank" in err
+        assert not path.exists()
+
 
 class TestCompute:
     def test_werner_against_closed_form(self, tmp_path, capsys):
@@ -89,6 +108,19 @@ class TestCompute:
         assert code == 0
         assert out["kind"] == "pure"
         assert 0.0 <= out["value"] <= math.log2(3.0) + 1e-9
+
+    def test_pure_state_refuses_search_options(self, tmp_path, capsys):
+        path = str(tmp_path / "p.json")
+        dump = tmp_path / "best.json"
+        run(capsys, "zoo", "random", "--dims", "2,3", "--pure", "--out", path)
+        code, out, err = run(capsys, "compute", path, "--restarts", "3", "--seed", "1",
+                             "--ensemble-size", "8", "--max-iterations", "5",
+                             "--dump-ensemble", str(dump))
+        assert code == 2
+        assert out == ""
+        assert ("'eof compute' on a pure state does not read --dump-ensemble, "
+                "--ensemble-size, --max-iterations, --restarts, --seed") in err
+        assert not dump.exists()
 
     def test_cut_required_beyond_two_subsystems(self, tmp_path, capsys):
         path = str(tmp_path / "p4.json")

@@ -492,6 +492,129 @@ class TestObjectiveGradient:
         assert passed == [(16, m)]
 
 
+CHAIN_COSTS = [None, (False, False), (False, True), (True, False), (True, True)]
+CHAIN_IDS = ["default", "entropy+entropy", "entropy+eof", "eof+entropy", "eof+eof"]
+
+
+def _member_cost(chain):
+    """None for the default cost, else the relation chain's cost."""
+    from eoflab.probes import _chain_cost
+
+    return None if chain is None else _chain_cost(*chain)
+
+
+def _svd_entropy_value_grad(x):
+    """The SVD form of `entropy_value_grad`: -tr M log2(M/p) with gradient
+    -left diag(s log2 mu) right from X = left diag(s) right."""
+    from eoflab.qstate import EIG_FLOOR
+
+    left, s, right = np.linalg.svd(x, full_matrices=False)
+    lam2 = s * s
+    p = lam2.sum(axis=-1)
+    p_safe = np.where(p > 1e-15, p, 1.0)
+    mu = lam2 / p_safe[:, None]
+    mask = (mu > EIG_FLOOR) & (p[:, None] > 1e-15)
+    log_mu = np.log2(np.where(mask, mu, 1.0))
+    value = float(np.where(mask, -lam2 * log_mu, 0.0).sum())
+    return value, -(left * np.where(mask, s * log_mu, 0.0)[:, None, :]) @ right
+
+
+class TestLiveMembers:
+    """What lets the search start at its live size: zero rows of Y never move."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(chain=st.sampled_from(CHAIN_COSTS),
+           ranks=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+           zero_rows=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_zero_rows_have_zero_gradient(self, chain, ranks, zero_rows, seed):
+        from eoflab.eof import _DecompositionObjective, _pack
+
+        rho = tensor(two_qubit([76, seed, 0], rank=ranks[0]),
+                     two_qubit([76, seed, 1], rank=ranks[1]))
+        obj = _DecompositionObjective(rho, (0, 2), _member_cost(chain))
+        m = obj.rank + len(zero_rows)
+        rng = np.random.default_rng([77, seed])
+        y = rng.standard_normal((m, obj.rank)) + 1j * rng.standard_normal((m, obj.rank))
+        dead = sorted({row % m for row in zero_rows})
+        y[dead] = 0.0
+        grad = obj(_pack(y))[1].reshape(2, m, obj.rank)
+        np.testing.assert_array_equal(grad[:, dead], 0.0)
+
+    @pytest.mark.parametrize("chain", CHAIN_COSTS, ids=CHAIN_IDS)
+    def test_eigen_start_without_zero_rows_takes_the_same_steps(self, monkeypatch, chain):
+        import scipy.optimize
+
+        from eoflab.eof import _DecompositionObjective, _pack, minimize_over_decompositions
+
+        rho = tensor(two_qubit(78, rank=2), two_qubit(79, rank=2))
+        opts = EofOptions(restarts=1)
+        minimize = scipy.optimize.minimize
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(minimize(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        minimize_over_decompositions(rho, (0, 2), opts, _member_cost(chain))
+        monkeypatch.undo()
+
+        obj = _DecompositionObjective(rho, (0, 2), _member_cost(chain))
+        padded = minimize(obj, _pack(np.eye(16, obj.rank)), jac=True, method="L-BFGS-B",
+                          options={"maxiter": opts.max_iterations,
+                                   "ftol": opts.convergence_tol, "gtol": 1e-6})
+        [live] = runs
+        assert live.x.size == 2 * obj.rank * obj.rank
+        assert (live.nit, live.nfev) == (padded.nit, padded.nfev)
+        assert abs(live.fun - padded.fun) <= 1e-12
+
+    @pytest.mark.parametrize("cuts, kernel", [
+        ([(0,), (2,)], "entropy"), ([(0, 1), (2, 3)], "wootters"),
+        ([(0, 1), (2, 3)], "entropy"), ([(1,), (3,), (0,)], "entropy")],
+        ids=["entropy-singles", "wootters-pairs", "entropy-pairs", "entropy-three-cuts"])
+    def test_multi_cut_cost_is_the_sum_of_single_cut_costs(self, cuts, kernel):
+        from eoflab.eof import cut_member_cost, entropy_value_grad, wootters_value_grad
+
+        value_grad = entropy_value_grad if kernel == "entropy" else wootters_value_grad
+        dims = (2, 2, 2, 2)
+        raw = np.random.default_rng(80).standard_normal((16, 9, 2)) @ [1.0, 1j]
+        value, grad = cut_member_cost(dims, cuts, value_grad)(raw)
+        singles = [cut_member_cost(dims, [cut], value_grad)(raw) for cut in cuts]
+        assert value == pytest.approx(sum(v for v, _ in singles), abs=1e-12)
+        np.testing.assert_allclose(grad, sum(g for _, g in singles), rtol=0, atol=1e-12)
+
+    def test_cuts_of_different_shapes_are_refused(self):
+        from eoflab.eof import cut_member_cost
+
+        with pytest.raises(ValueError, match="one block shape"):
+            cut_member_cost((2, 2, 2, 2), [(0,), (0, 1)])
+
+    @pytest.mark.parametrize("shape", [(2, 8), (8, 2), (4, 4), (3, 5), (2, 2)])
+    def test_gram_entropy_matches_svd_form(self, shape):
+        from eoflab.eof import entropy_value_grad
+
+        d = min(shape)
+        rng = np.random.default_rng([81, *shape])
+        # smallest Schmidt coefficients 1, 10^-0.5, 10^-1.5, ..., 10^-8.5 and 1e-9:
+        # none sits at 1e-6, where mu meets the EIG_FLOOR cut and the two forms
+        # may round to opposite sides of it
+        members = []
+        for k, smallest in enumerate([1.0, *10.0 ** -np.arange(0.5, 9.0), 1e-9]):
+            s = np.concatenate([[1.0], rng.uniform(0.1, 1.0, d - 2), [smallest]])
+            u = random_unitary(shape[0], [82, *shape, k])[:, :d]
+            v = random_unitary(shape[1], [83, *shape, k])[:d]
+            members.append(math.sqrt(rng.uniform(0.05, 1.0)) * (u * s / np.linalg.norm(s)) @ v)
+        members.append(np.zeros(shape))                           # a member of weight 0
+        members.append(np.outer(random_unitary(shape[0], 84)[:, 0],
+                                random_unitary(shape[1], 85)[0]))    # a product member
+        x = np.stack(members)
+        value, grad = entropy_value_grad(x)
+        want_value, want_grad = _svd_entropy_value_grad(x)
+        assert value == pytest.approx(want_value, abs=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-7)
+
+
 class TestObjectivePolar:
     """The objective's chart: the polar factor of an m x rank complex Y."""
 
@@ -515,7 +638,7 @@ class TestObjectivePolar:
         rho = two_qubit(72)
         e = hjw_ensemble(rho, random_isometry(6, 4, 73))
         obj = _DecompositionObjective(rho, (0,))
-        x = _params_for_ensemble(rho, e, 9)
+        x = _params_for_ensemble(rho, e)
         back = hjw_ensemble(rho, obj.isometry(x))
         assert len(back) == len(e)
         np.testing.assert_allclose(back.weights, e.weights, rtol=0, atol=1e-12)
