@@ -44,7 +44,7 @@ print(f"  10 random 8-member decompositions: min member gap {worst:+.2e}\n")
 print("=== Additivity, measured ===")
 rep = check_case2(spec, spec, opts=EofOptions(restarts=6, ensemble_size=8, seed=5),
                   decomposition_samples=10)
-print(f"  factor EoFs: {rep.extra['factor_eof']}")
+print(f"  block EoFs (exact): {rep.extra['block_eof']}")
 print(f"  product EoF (searched, 9x9 product): {rep.extra['product_eof']:.12f}")
 print(f"  additivity residual: {rep.extra['additivity_residual']:+.2e}\n")
 

@@ -213,11 +213,15 @@ def _tables() -> tuple[dict, dict, dict]:
         "question2": (probe_question2, question),
         "superadditivity": (superadditivity_probe, ("trials", "seed", "slack", "source", "phi")),
     }
+    # a variant flag selects its own entry, which reads only what shapes it
     zoo = {
-        "case1": (_zoo_case1, ("seed", "shape", "uniform")),
+        "case1": (_zoo_case1, ("seed", "shape")),
+        "case1 --uniform": (_zoo_case1, ("shape", "uniform")),
         "case2": (_zoo_case2, ("product_weight", "d")),
-        "werner": (_zoo_werner, ("phi", "d", "two_pair")),
-        "random": (_zoo_random, ("seed", "dims", "rank", "pure")),
+        "werner": (_zoo_werner, ("phi", "d")),
+        "werner --two-pair": (_zoo_werner, ("phi", "two_pair")),
+        "random": (_zoo_random, ("seed", "dims", "rank")),
+        "random --pure": (_zoo_random, ("seed", "dims", "pure")),
     }
     return verify, probe, zoo
 
@@ -266,7 +270,9 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 def _cmd_zoo(args: argparse.Namespace) -> int:
     _, _, zoo = _tables()
-    [state] = _run(zoo, (args.family,), args, f"'eof zoo {args.family}'")
+    name = next((key for key in zoo if key.startswith(args.family + " --")
+                 and getattr(args, key.split(" --")[1].replace("-", "_"))), args.family)
+    [state] = _run(zoo, (name,), args, f"'eof zoo {name}'")
     save_state(args.out, state)
     kind = "pure" if isinstance(state, PureState) else "density"
     print_payload({"written": args.out, "family": args.family,
@@ -352,7 +358,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("zoo", help="write an example state file")
     common(p)
-    p.add_argument("family", choices=tuple(zoo))
+    p.add_argument("family", choices=tuple(k for k in zoo if " " not in k))
     p.add_argument("--out", required=True, help="output state file")
     opt(p, "--seed", type=int)
     opt(p, "--shape", type=_dims_arg, help="case1 weight-matrix shape, e.g. 2,3")

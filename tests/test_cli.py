@@ -77,6 +77,20 @@ class TestZoo:
         assert "'eof zoo werner' does not read --pure, --shape" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("random", "--pure", "--rank", "3"), "'eof zoo random --pure' does not read --rank"),
+        (("werner", "--two-pair", "--d", "3"), "'eof zoo werner --two-pair' does not read --d"),
+        (("case1", "--uniform", "--seed", "7"), "'eof zoo case1 --uniform' does not read --seed"),
+    ], ids=["random-pure", "werner-two-pair", "case1-uniform"])
+    def test_option_the_variant_does_not_read_is_usage_error(self, tmp_path, capsys,
+                                                             argv, message):
+        path = tmp_path / "f.json"
+        code, out, err = run(capsys, "zoo", *argv, "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert not path.exists()
+
     def test_config_option_the_family_does_not_read_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "eof.cfg"
         cfg.write_text("rank=3\n")
