@@ -26,12 +26,13 @@ from .qmat import ShapeError
 from .qstate import (
     DensityMatrix,
     partial_trace,
+    reduced_factors,
     reduced_state,
     shannon_entropy,
     tensor,
     von_neumann_entropy,
 )
-from .reports import GAP_TOL, CheckReport, require_count
+from .reports import GAP_TOL, CheckReport, require_count, require_tolerance
 from .statezoo import (
     Case1Spec,
     Case2Spec,
@@ -56,6 +57,7 @@ def check_flagged_identity(samples: int = 100, dims=(2, 3, 4), members=(2, 3, 4)
     pools; the residual must vanish to working precision every time.
     """
     require_count("samples", samples)
+    require_tolerance("tol", tol)
     per = []
     worst = 0.0
     for k in range(samples):
@@ -95,6 +97,7 @@ def check_strong_concavity(samples: int = 100, dims=(2, 3), members=(2, 3, 4),
     when the mixed slot's members are orthogonal flags).
     """
     require_count("samples", samples)
+    require_tolerance("tol", tol)
     per = []
     worst = math.inf
     for k in range(samples):
@@ -158,6 +161,7 @@ def check_ssa(samples: int = 100, dims=(2, 2, 2), seed: int = 0,
     evaluated alongside and its |gap| recorded in extra.
     """
     require_count("samples", samples)
+    require_tolerance("tol", tol)
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3:
         raise ShapeError(f"need exactly 3 subsystem dims, got {dims}")
@@ -210,6 +214,8 @@ def check_case1(spec: Case1Spec, opts: EofOptions | None = None,
     (whose average equals the identity's right side, so the computed gaps
     cannot go negative by more than the optimizer's own tolerance).
     """
+    require_tolerance("tol", tol)
+    require_tolerance("slack", slack)
     if opts is None:
         opts = EofOptions(restarts=8, seed=11)
     psi = case1_state(spec)
@@ -226,10 +232,11 @@ def check_case1(spec: Case1Spec, opts: EofOptions | None = None,
     medium = s_aa - s_a - avg_rows
     medium2 = s_aa - s_ap - avg_cols
 
-    rho_apbp = reduced_state(psi, (2, 3))
-    rho_ab = reduced_state(psi, (0, 1))
-    (ef_apbp,), exact_ap = eof_stack(rho_apbp.mat[None], rho_apbp.dims, opts, [ens_apbp])
-    (ef_ab,), exact_ab = eof_stack(rho_ab.mat[None], rho_ab.dims, opts, [ens_ab])
+    # the state reshaped across each pair cut is a factor of that pair's reduction
+    (ef_apbp,), exact_ap = eof_stack(reduced_factors(psi.vec[None], psi.dims, (2, 3)),
+                                     psi.dims[2:], opts, [ens_apbp])
+    (ef_ab,), exact_ab = eof_stack(reduced_factors(psi.vec[None], psi.dims, (0, 1)),
+                                   psi.dims[:2], opts, [ens_ab])
 
     parts = [
         {"part": "row-conditional-identity", "kind": "identity", "value": float(medium)},
@@ -318,6 +325,8 @@ def check_case2(spec_a: Case2Spec, spec_b: Case2Spec, opts: EofOptions | None = 
     """
     require_count("decomposition_samples", decomposition_samples)
     require_count("members", members)
+    require_tolerance("member_slack", member_slack)
+    require_tolerance("slack", slack)
     ens_a = case2_ensemble(spec_a)
     ens_b = case2_ensemble(spec_b)
     per = []
@@ -371,6 +380,7 @@ def check_weak_additivity(pairs: int = 10, seed: int = 0, slack: float = 2e-3,
     the largest such surplus is reported.
     """
     require_count("pairs", pairs)
+    require_tolerance("slack", slack)
     if opts is None:
         opts = EofOptions(restarts=4, seed=21)
     per = []

@@ -24,7 +24,11 @@ never move it.
 
 Every value this module produces is an upper bound on the true EoF; only the
 two-qubit closed form, and the decomposition that attains it
-(`wootters_decomposition`), are exact.
+(`wootters_decomposition`), are exact.  The closed form works on a factor X
+of rho = X X^dagger, not on rho: `eof_stack` takes a stack of factors (a
+pure state's reshape across a pair cut, say), so no reduced operator is
+formed and none is eigen-solved, and `eof_wootters_2q` uses a reduced
+state's own factor, or else V sqrt(w) from rho's eigh.
 """
 
 from __future__ import annotations
@@ -42,9 +46,12 @@ from .ensembles import (
     isometry_for_ensemble,
     support_decomposition,
 )
+from .qmat import ShapeError
 from .qstate import (
     EIG_FLOOR,
+    STATE_TOL,
     DensityMatrix,
+    NormalizationError,
     PureState,
     cut_permutation,
     density_spectra,
@@ -130,19 +137,21 @@ def _eof_from_concurrence(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, c * ratio / _LN2
 
 
-def _concurrence_stack(mats: np.ndarray) -> np.ndarray:
-    """Concurrences of a (N, 4, 4) stack of two-qubit density operators.
+def _wootters_eof(x: np.ndarray) -> np.ndarray:
+    """Exact two-qubit EoF of rho = X X^dagger for each X in a (N, 4, k) stack."""
+    return _eof_from_concurrence(concurrence_factors(x))[0]
 
-    The operators pass DensityMatrix's checks (`density_spectra`), and the
-    factor X = V sqrt(w) of each one's eigh goes to `concurrence_factors`.
-    """
+
+def _density_factors(mats: np.ndarray) -> np.ndarray:
+    """The factor X = V sqrt(w) of each operator in a (N, d, d) stack of density
+    operators, from its eigh with DensityMatrix's checks (`density_spectra`)."""
     w, v = density_spectra(mats, vectors=True)
-    return concurrence_factors(v * np.sqrt(np.maximum(w, 0.0))[..., None, :])
+    return v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
 
 
 def eof_wootters_stack(mats: np.ndarray) -> np.ndarray:
     """Exact two-qubit EoF of each operator in a (N, 4, 4) stack of density matrices."""
-    return _eof_from_concurrence(_concurrence_stack(mats))[0]
+    return _wootters_eof(_density_factors(mats))
 
 
 def _require_two_qubits(rho: DensityMatrix) -> None:
@@ -150,16 +159,21 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
         raise ValueError(f"two-qubit closed form needs dims (2, 2), got {rho.dims}")
 
 
-def concurrence_2q(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence, from the factor X = V sqrt(w) of rho's eigh."""
+def _two_qubit_factor(rho: DensityMatrix) -> np.ndarray:
+    """A factor of a two-qubit rho, as a stack of one: its own `factor`
+    (a pure state's reshape), else V sqrt(w) from its eigh."""
     _require_two_qubits(rho)
-    return float(_concurrence_stack(rho.mat[None])[0])
+    return rho.factor[None] if rho.factor is not None else _density_factors(rho.mat[None])
+
+
+def concurrence_2q(rho: DensityMatrix) -> float:
+    """Two-qubit concurrence of rho, from a factor of it (`concurrence_factors`)."""
+    return float(concurrence_factors(_two_qubit_factor(rho))[0])
 
 
 def eof_wootters_2q(rho: DensityMatrix) -> float:
     """Exact two-qubit EoF via the concurrence closed form."""
-    _require_two_qubits(rho)
-    return float(eof_wootters_stack(rho.mat[None])[0])
+    return float(_wootters_eof(_two_qubit_factor(rho))[0])
 
 
 def _takagi(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,8 +374,9 @@ class EofOptions:
             raise ValueError("restarts must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
+        if not 0.0 < self.convergence_tol < math.inf:     # NaN fails too
+            raise ValueError(f"convergence_tol must be positive and finite, "
+                             f"got {self.convergence_tol!r}")
         if self.ensemble_size != "auto":
             self.ensemble_size = int(self.ensemble_size)
             if self.ensemble_size < 1:
@@ -544,17 +559,31 @@ def eof_minimize(
     return minimize_over_decompositions(rho, cut, opts, None, warm_starts)
 
 
-def eof_stack(mats: np.ndarray, dims: Sequence[int], opts: EofOptions | None = None,
+def eof_stack(factors: np.ndarray, dims: Sequence[int], opts: EofOptions | None = None,
               warm_starts: Sequence[Ensemble] = ()) -> tuple[np.ndarray, bool]:
-    """E_f of each two-subsystem operator in a (N, D, D) stack, and whether it is exact.
+    """E_f of rho_n = X_n X_n^dagger for each factor in a (N, D, k) stack, and whether it is exact.
 
-    At dims (2, 2) the closed form covers the whole stack and is exact;
-    otherwise each value is the upper bound of its own decomposition search,
-    and every search tries the warm starts.
+    k is free: a pure state's reshape, its transpose, or the members'
+    factors side by side of a mixed state's reduction all serve.  Each
+    factor must have sum |X|^2 = tr rho = 1 within 1e-9 (DensityMatrix's
+    trace check; Hermiticity and positivity hold by construction).  At
+    dims (2, 2) the closed form takes the factors directly, with no
+    reduced operator and no eigen-solve, and is exact; otherwise each
+    value is the upper bound of a decomposition search on
+    DensityMatrix(dims, X X^dagger), and every search tries the warm starts.
     """
     dims = tuple(dims)
+    x = np.asarray(factors)
+    if x.ndim != 3 or x.shape[1] != math.prod(dims):
+        raise ShapeError(f"need a (N, {math.prod(dims)}, k) stack of factors for dims {dims}, "
+                         f"got shape {x.shape}")
+    tr = np.einsum("nij,nij->n", x.conj(), x).real
+    off = ~(np.abs(tr - 1.0) <= STATE_TOL)        # NaN is off too
+    if off.any():
+        raise NormalizationError(f"factor trace {float(tr[off][0])!r} is not 1 within 1e-9")
     if dims == (2, 2):
-        return eof_wootters_stack(mats), True
+        return _wootters_eof(x), True
+    mats = x @ np.swapaxes(x.conj(), -1, -2)
     values = [eof_minimize(DensityMatrix(dims, m), (0,), opts, warm_starts).value
               for m in mats]
     return np.array(values), False

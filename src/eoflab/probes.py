@@ -8,7 +8,9 @@ trial still draws its raw Gaussians from its own stream, seeded by
 (seed, trial); the samplers' builders then turn every trial's draws into
 states and isometries in one call each, and `product_decomposition_members`
 and `pair_superadditivity_gap` evaluate every member of every trial in one
-pass (trials whose shapes differ go in separate stacks).  A member's values
+pass (trials whose shapes differ go in separate stacks).  The pair E_f
+terms of a pure member come straight from its reshape, a factor of each
+pair reduction, so those reductions are never formed.  A member's values
 do not depend on the stack it came in, so a run gives the bytes of its
 trials run one by one, and re-evaluating an argmin member alone gives the
 same bits.  Runs longer than a chunk (STACK_BUDGET) are stacked chunk by
@@ -54,12 +56,13 @@ from .qstate import (
     density_spectra,
     pairs_to_complex,
     payload_to_state,
+    reduced_factors,
     reduced_operators,
     spectral_entropy,
     state_to_payload,
     tensor,
 )
-from .reports import GAP_TOL, CheckReport, ProbeResult, require_count
+from .reports import GAP_TOL, CheckReport, ProbeResult, require_count, require_tolerance
 from .statezoo import (
     Case2Spec,
     case1_vectors,
@@ -226,13 +229,16 @@ def pair_superadditivity_gap(states, opts: EofOptions | None = None) -> list[tup
     Parties are ordered (A, B, A', B').  The stack is a sequence of
     PureStates of one dims, or (dims, vecs) with the state vectors as the
     rows of an (N, D) array, which get PureState's checks here; a single
-    PureState is a stack of one.  The stack is evaluated in one pass: one
-    reduction per cut, one eigen-solve per stack, and `eof_stack` on each
-    pair's reductions (the closed two-qubit form on the whole stack for a
-    pair of dims (2, 2), a search per state otherwise).  Returns one
-    (gap, detail) per state; detail's exact_terms says whether both EoF
-    terms used the closed form (otherwise they are upper bounds and the gap
-    a lower bound).
+    PureState is a stack of one.  The stack is evaluated in one pass.
+    S(rho_AA') comes from the checked (A, A') reductions, with one
+    eigen-solve per stack.  The E_f terms need no reduction: a member
+    reshaped as AB rows x A'B' columns is a factor X of rho_AB = X X^dagger,
+    and its transpose one of rho_A'B', so `eof_stack` takes the two factor
+    stacks, in one call when the pairs have the same dims (the closed
+    two-qubit form on the whole stack for a pair of dims (2, 2), with no
+    eigen-solve; a search per state otherwise).  Returns one (gap, detail)
+    per state; detail's exact_terms says whether both EoF terms used the
+    closed form (otherwise they are upper bounds and the gap a lower bound).
     """
     if isinstance(states, tuple) and len(states) == 2 and isinstance(states[1], np.ndarray):
         dims, vecs = tuple(states[0]), states[1]
@@ -253,10 +259,14 @@ def pair_superadditivity_gap(states, opts: EofOptions | None = None) -> list[tup
     else:
         check_state_vectors(dims, vecs)
     s_pair = spectral_entropy(density_spectra(reduced_operators(vecs, dims, (0, 2))))
-    (ef_ab, exact1), (ef_apbp, exact2) = (
-        eof_stack(reduced_operators(vecs, dims, cut), [dims[i] for i in cut], opts)
-        for cut in ((0, 1), (2, 3)))
-    exact = exact1 and exact2
+    x_ab, x_apbp = (reduced_factors(vecs, dims, cut) for cut in ((0, 1), (2, 3)))
+    if dims[:2] == dims[2:]:
+        ef, exact = eof_stack(np.concatenate([x_ab, x_apbp]), dims[:2], opts)
+        ef_ab, ef_apbp = np.split(ef, 2)
+    else:
+        (ef_ab, exact_ab), (ef_apbp, exact_apbp) = (
+            eof_stack(x_ab, dims[:2], opts), eof_stack(x_apbp, dims[2:], opts))
+        exact = exact_ab and exact_apbp
     return [(gap, {"entropy_pair": pair, "eof_ab": ab, "eof_a_prime_b_prime": apbp,
                    "exact_terms": exact})
             for gap, pair, ab, apbp in zip((s_pair - ef_ab - ef_apbp).tolist(), s_pair.tolist(),
@@ -284,6 +294,7 @@ def _search(name: str, trials: int, seed: int, slack: float, caveat: str,
     `argmin`.  run may add running totals to `extra`.
     """
     require_count("trials", trials)
+    require_tolerance("slack", slack)
     per = []
     best_gap = math.inf
     argmin: dict = {}
@@ -541,6 +552,7 @@ def relation_chain_check(rho_a: DensityMatrix, rho_b: DensityMatrix,
     """
     if rho_a.dims != (2, 2) or rho_b.dims != (2, 2):
         raise ShapeError("chain check needs two-qubit factors")
+    require_tolerance("slack", slack)
     if opts is None:
         opts = EofOptions(restarts=4, seed=6)
     ef_a = eof_wootters_2q(rho_a)

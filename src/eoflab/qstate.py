@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -91,10 +91,14 @@ class DensityMatrix:
 
     Validates Hermiticity, unit trace and positivity (up to 1e-9) on
     construction, so anything carrying this type is safe to feed onward.
+    `factor`, when known, is a d x k matrix X with mat = X X^dagger within
+    1e-9; `reduced_state` keeps the reshaped vector there, so that
+    factor-based kernels (the two-qubit closed form) skip an eigen-solve.
     """
 
     dims: tuple[int, ...]
     mat: np.ndarray
+    factor: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         dims = check_dims(self.dims)
@@ -106,6 +110,14 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
+        if self.factor is not None:
+            x = np.array(self.factor, dtype=np.complex128)
+            if x.ndim != 2 or x.shape[0] != d:
+                raise ShapeError(f"factor shape {x.shape} does not match dims {dims}")
+            if float(np.abs(x @ x.conj().T - mat).max()) > STATE_TOL:
+                raise ValueError("factor X does not give mat = X X^dagger within 1e-9")
+            x.setflags(write=False)
+            object.__setattr__(self, "factor", x)
 
     @property
     def dim(self) -> int:
@@ -205,20 +217,32 @@ def reduced_state(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError(f"keep={keep} out of range for {n} subsystems")
     if len(keep) == n:
         return psi.to_density()
-    mat = reduced_operators(psi.vec[None], psi.dims, keep)[0]
-    return DensityMatrix(tuple(psi.dims[i] for i in keep), mat)
+    x = reduced_factors(psi.vec[None], psi.dims, keep)
+    return DensityMatrix(tuple(psi.dims[i] for i in keep), _gram(x)[0], factor=x[0])
+
+
+def reduced_factors(vecs: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
+    """Each row of a (N, D) stack of vectors reshaped with the kept block as its row index.
+
+    The (N, d_keep, d_rest) result is a stack of factors X of the
+    reductions X X^dagger on the kept subsystems.  `keep` must leave at
+    least one subsystem to trace out.
+    """
+    perm, dk, dt = cut_permutation(dims, keep)
+    return vecs[:, perm].reshape(-1, dk, dt)
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    return x @ np.swapaxes(x.conj(), -1, -2)
 
 
 def reduced_operators(vecs: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """X X^dagger on the kept subsystems for each row of a (N, D) stack of vectors.
 
-    X is the vector reshaped with the kept block as its row index.  `keep`
-    must leave at least one subsystem to trace out.  The result is the
+    X is the vector's `reduced_factors` reshape.  The result is the
     unchecked (N, d_keep, d_keep) stack; `density_spectra` checks it.
     """
-    perm, dk, dt = cut_permutation(dims, keep)
-    x = vecs[:, perm].reshape(-1, dk, dt)
-    return x @ np.swapaxes(x.conj(), -1, -2)
+    return _gram(reduced_factors(vecs, dims, keep))
 
 
 def spectral_entropy(values: np.ndarray, floor: float = EIG_FLOOR) -> float | np.ndarray:

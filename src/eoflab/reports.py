@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Mapping
@@ -25,6 +26,14 @@ def require_count(name: str, value: int) -> None:
     """A check or search over no samples would pass vacuously; refuse it."""
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value!r}")
+
+
+def require_tolerance(name: str, value: float) -> None:
+    """A negative tolerance fails a relation that holds, an infinite one
+    passes vacuously, and NaN reaches the report as non-standard JSON;
+    refuse them."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def _plain(obj):

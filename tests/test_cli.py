@@ -364,6 +364,22 @@ class TestProbe:
         assert out1 == out2
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("probe", "superadditivity", "--source", "werner", "--trials", "2", "--slack", "-1"),
+     "slack"),
+    (("probe", "question1", "--trials", "2", "--slack", "nan"), "slack"),
+    (("verify", "weak-additivity", "--pairs", "1", "--slack", "inf"), "slack"),
+    (("verify", "case2", "--decomposition-samples", "1", "--member-slack", "-0.5"),
+     "member_slack"),
+    (("verify", "ssa", "--samples", "2", "--tol", "nan"), "tol"),
+], ids=["negative-slack", "nan-slack", "infinite-slack", "member-slack", "nan-tol"])
+def test_bad_tolerance_is_usage_error(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {option} must be finite and >= 0" in err
+
+
 class TestConfig:
     def test_config_fills_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "eof.cfg"
@@ -429,6 +445,23 @@ class TestConfig:
             main(["verify", "flagged", "--config", str(cfg)])
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
+
+    def test_config_leaves_no_default_behind(self, tmp_path, capsys):
+        # calls without --config share one parser; a config call builds its own
+        from eoflab import cli
+
+        shared = cli._shared_parser()
+        cfg = tmp_path / "eof.cfg"
+        cfg.write_text("source=werner\ntrials=3\nformat=csv\n")
+        code, out, _ = run(capsys, "--config", str(cfg), "probe", "superadditivity")
+        assert code == 0
+        assert "werner" in out
+        code, out, _ = run_json(capsys, "probe", "superadditivity", "--trials", "2")
+        assert code == 0
+        assert (out["trials"], out["extra"]["source"]) == (2, "random")
+        assert cli._shared_parser() is shared
+        args = shared.parse_args(["probe", "superadditivity"])
+        assert (args.source, args.trials, args.format) == (None, None, None)
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "verify", "flagged", "--config",

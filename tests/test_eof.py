@@ -30,6 +30,9 @@ from eoflab import (
     werner_state,
     wootters_decomposition,
 )
+from eoflab.eof import eof_stack, eof_wootters_stack
+from eoflab.qmat import ShapeError
+from eoflab.qstate import NormalizationError, reduced_factors, reduced_operators, reduced_state
 from eoflab.statezoo import random_density_dims, random_isometry, random_unitary
 
 BELL = PureState((2, 2), np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
@@ -143,6 +146,82 @@ class TestWootters:
                                    rtol=0, atol=1e-12)
 
 
+def _four_qubit_vectors(rng, n, products):
+    """n unit vectors on (2, 2, 2, 2); the first `products` are AB x A'B' products,
+    whose pair reductions are pure (rank-1 factors)."""
+    vecs = rng.standard_normal((n, 16)) + 1j * rng.standard_normal((n, 16))
+    for i in range(min(products, n)):
+        vecs[i] = np.kron(vecs[i, :4], vecs[i, 4:8])
+    return vecs / np.linalg.norm(vecs, axis=1)[:, None]
+
+
+class TestEofStack:
+    """eof_stack takes factors X of rho = X X^dagger, not density operators."""
+
+    DIMS = (2, 2, 2, 2)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), products=st.integers(0, 3))
+    def test_pure_reshapes_match_the_reduction_route(self, seed, n, products):
+        vecs = _four_qubit_vectors(np.random.default_rng(seed), n, products)
+        for cut in ((0, 1), (2, 3)):
+            values, exact = eof_stack(reduced_factors(vecs, self.DIMS, cut), (2, 2))
+            assert exact
+            np.testing.assert_allclose(
+                values, eof_wootters_stack(reduced_operators(vecs, self.DIMS, cut)),
+                rtol=0, atol=1e-12)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 4))
+    def test_mixed_reductions_as_side_by_side_member_factors(self, seed, n, m):
+        # rho = sum_i p_i |psi_i><psi_i| on four qubits: its pair reduction has the
+        # factor [sqrt(p_1) X_1, ..., sqrt(p_m) X_m], with k = 4 m columns
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(m), size=n)
+        vecs = _four_qubit_vectors(rng, n * m, 1) * np.sqrt(p).reshape(-1, 1)
+        for cut in ((0, 1), (2, 3)):
+            x = reduced_factors(vecs, self.DIMS, cut).reshape(n, m, 4, 4)
+            factors = np.concatenate(list(np.moveaxis(x, 1, 0)), axis=-1)
+            mats = reduced_operators(vecs, self.DIMS, cut).reshape(n, m, 4, 4).sum(axis=1)
+            values, _ = eof_stack(factors, (2, 2))
+            assert factors.shape == (n, 4, 4 * m)
+            np.testing.assert_allclose(values, eof_wootters_stack(mats), rtol=0, atol=1e-12)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), k=st.integers(1, 8))
+    def test_each_factor_alone_gives_its_stack_bits(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 4, k)) + 1j * rng.standard_normal((n, 4, k))
+        x /= np.linalg.norm(x, axis=(1, 2))[:, None, None]
+        values, _ = eof_stack(x, (2, 2))
+        for i in range(n):
+            assert eof_stack(x[i:i + 1], (2, 2))[0].tolist() == [values[i]]
+
+    @pytest.mark.parametrize("shift", [2e-9, -2e-9])
+    def test_refuses_factor_trace_off_one(self, shift):
+        x = random_pure(self.DIMS, 4).vec.reshape(1, 4, 4)
+        assert eof_stack(x * math.sqrt(1.0 + shift / 4), (2, 2))[1]
+        with pytest.raises(NormalizationError):
+            eof_stack(x * math.sqrt(1.0 + shift), (2, 2))
+
+    def test_refuses_non_finite_and_misshapen_factors(self):
+        x = random_pure(self.DIMS, 4).vec.reshape(1, 4, 4)
+        with pytest.raises(NormalizationError):
+            eof_stack(np.where(np.arange(16).reshape(1, 4, 4) == 5, np.nan, x), (2, 2))
+        with pytest.raises(ShapeError):
+            eof_stack(x.reshape(1, 2, 8), (2, 2))
+        with pytest.raises(ShapeError):
+            eof_stack(x[0], (2, 2))
+
+    def test_search_past_two_qubits_runs_on_the_gram_matrix(self):
+        psi = random_pure((2, 3, 2, 3), 6)
+        opts = EofOptions(restarts=1, seed=1)
+        (value,), exact = eof_stack(reduced_factors(psi.vec[None], psi.dims, (0, 1)),
+                                    (2, 3), opts)
+        assert not exact
+        assert value == eof_minimize(reduced_state(psi, (0, 1)), (0,), opts).value
+
+
 def _assert_exact_decomposition(rho):
     # an optimal decomposition: it mixes back to rho, averages to the closed
     # form, and every member carries rho's concurrence
@@ -241,8 +320,9 @@ class TestEofOptions:
             EofOptions(restarts=0)
         with pytest.raises(ValueError):
             EofOptions(ensemble_size=0)
-        with pytest.raises(ValueError):
-            EofOptions(convergence_tol=0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="convergence_tol"):
+                EofOptions(convergence_tol=tol)
 
     def test_auto_rule(self):
         from eoflab.eof import resolve_ensemble_size

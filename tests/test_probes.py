@@ -52,7 +52,8 @@ from eoflab import (
 )
 from eoflab.ensembles import hjw_ensemble, support_decomposition
 from eoflab.qmat import ShapeError
-from eoflab.qstate import PureState, reduced_state
+from eoflab.eof import eof_wootters_stack
+from eoflab.qstate import PureState, reduced_operators, reduced_state
 from eoflab.statezoo import random_density_dims, random_isometry, random_unitary
 
 
@@ -295,6 +296,33 @@ def test_count_below_one_is_rejected(entry, kwargs):
     # a check over no samples would pass vacuously and report min_gap = inf
     with pytest.raises(ValueError, match="must be >= 1"):
         entry(**kwargs)
+
+
+@pytest.mark.parametrize("entry, name", [
+    pytest.param(functools.partial(check_flagged_identity, samples=1), "tol", id="flagged"),
+    pytest.param(functools.partial(check_strong_concavity, samples=1), "tol",
+                 id="strong-concavity"),
+    pytest.param(functools.partial(check_ssa, samples=1), "tol", id="ssa"),
+    pytest.param(functools.partial(check_case1, Case1Spec(np.diag([0.5, 0.5]))), "tol",
+                 id="case1-tol"),
+    pytest.param(functools.partial(case1_suite, samples=1), "slack", id="case1-suite"),
+    pytest.param(functools.partial(check_case2, classical_spec([0.5, 0.5]),
+                                   classical_spec([0.5, 0.5])), "member_slack",
+                 id="case2-member-slack"),
+    pytest.param(functools.partial(check_weak_additivity, pairs=1), "slack",
+                 id="weak-additivity"),
+    pytest.param(functools.partial(relation_chain_check, werner_state(2, -0.85),
+                                   werner_state(2, -0.85)), "slack", id="relation-chain"),
+    pytest.param(functools.partial(superadditivity_probe, trials=1), "slack",
+                 id="superadditivity"),
+    pytest.param(functools.partial(probe_question1, trials=1), "slack", id="question1"),
+])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_bad_tolerance_is_rejected(entry, name, value):
+    # a negative tolerance fails a relation that holds, an infinite one passes
+    # vacuously, and NaN would reach the report as non-standard JSON
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+        entry(**{name: value})
 
 
 class TestCase1Check:
@@ -590,6 +618,21 @@ class TestSuperadditivityProbe:
         moved = PureState(psi.dims, local @ psi.vec)
         ((gap, _), (again, _)) = pair_superadditivity_gap([psi, moved])
         assert again == pytest.approx(gap, abs=1e-9)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10))
+    def test_pair_terms_match_the_reduction_route(self, seed, n):
+        # the gap takes its pair terms from each member's reshape and its
+        # transpose; the closed form on the checked reductions agrees
+        rng = np.random.default_rng(seed)
+        vecs = rng.standard_normal((n, 16)) + 1j * rng.standard_normal((n, 16))
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        dims = (2, 2, 2, 2)
+        details = [d for _, d in pair_superadditivity_gap((dims, vecs))]
+        for key, cut in (("eof_ab", (0, 1)), ("eof_a_prime_b_prime", (2, 3))):
+            np.testing.assert_allclose(
+                [d[key] for d in details],
+                eof_wootters_stack(reduced_operators(vecs, dims, cut)), rtol=0, atol=1e-12)
 
     def test_mixed_dims_stack_falls_back_to_search(self):
         # a (2, 3) pair has no closed form: each state gets its own search

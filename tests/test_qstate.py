@@ -10,6 +10,8 @@ from eoflab import (
     DensityMatrix,
     NormalizationError,
     PureState,
+    concurrence_2q,
+    eof_wootters_2q,
     partial_trace,
     reduced_state,
     schmidt,
@@ -19,6 +21,7 @@ from eoflab import (
     tensor_pure,
     von_neumann_entropy,
 )
+from eoflab.qmat import ShapeError
 from eoflab.qstate import (
     load_state,
     payload_to_state,
@@ -97,6 +100,32 @@ class TestPartialTrace:
         rho = random_density_dims((2, 2, 2), 6, 5)
         red = partial_trace(rho, [1])
         assert red.mat.trace().real == pytest.approx(1.0, abs=1e-10)
+
+
+class TestReductionFactor:
+    def test_reduced_state_keeps_its_factor(self):
+        psi = random_pure((2, 3, 2), 7)
+        rho = reduced_state(psi, (0, 2))
+        x = psi.vec.reshape(2, 3, 2).transpose(0, 2, 1).reshape(4, 3)
+        np.testing.assert_array_equal(rho.factor, x)
+        np.testing.assert_allclose(rho.factor @ rho.factor.conj().T, rho.mat, atol=1e-15)
+        assert partial_trace(psi.to_density(), (0, 2)).factor is None
+
+    def test_factor_must_match_the_operator(self):
+        rho = reduced_state(random_pure((2, 2), 3), (0,))
+        with pytest.raises(ValueError, match="X X\\^dagger"):
+            DensityMatrix((2,), rho.mat, factor=np.eye(2) / math.sqrt(2.0))
+        with pytest.raises(ShapeError):
+            DensityMatrix((2,), rho.mat, factor=rho.factor.reshape(1, 4))
+
+    def test_factor_route_matches_the_eigen_route(self):
+        # eof_wootters_2q takes a reduced state's own factor, else its eigh factor
+        for seed in range(20):
+            rho = reduced_state(random_pure((2, 2, 2), seed), (0, 1))
+            plain = DensityMatrix(rho.dims, rho.mat)
+            assert plain.factor is None
+            assert eof_wootters_2q(rho) == pytest.approx(eof_wootters_2q(plain), abs=1e-12)
+            assert concurrence_2q(rho) == pytest.approx(concurrence_2q(plain), abs=1e-12)
 
 
 class TestEntropies:
