@@ -378,18 +378,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, {name: (p, config_keys[p]) for name, p in sub.choices.items()}
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser every call without --config parses with, built once per
-    process; nothing may set defaults on it."""
-    return _build_parser()[0]
-
-
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     if args.config:
-        # config values become defaults, so they go on a parser of this call's own
-        parser, commands = _build_parser()
         try:
             _apply_config(parser, commands, args.command, _load_config(args.config),
                           args.config)

@@ -233,10 +233,9 @@ def pair_superadditivity_gap(states, opts: EofOptions | None = None) -> list[tup
     S(rho_AA') comes from the checked (A, A') reductions, with one
     eigen-solve per stack.  The E_f terms need no reduction: a member
     reshaped as AB rows x A'B' columns is a factor X of rho_AB = X X^dagger,
-    and its transpose one of rho_A'B', so `eof_stack` takes the two factor
-    stacks, in one call when the pairs have the same dims (the closed
-    two-qubit form on the whole stack for a pair of dims (2, 2), with no
-    eigen-solve; a search per state otherwise).  Returns one (gap, detail)
+    and its transpose one of rho_A'B', so `eof_stack` takes each pair's
+    factor stack (the closed two-qubit form on the whole stack for a pair
+    of dims (2, 2), with no eigen-solve; a search per state otherwise).  Returns one (gap, detail)
     per state; detail's exact_terms says whether both EoF terms used the
     closed form (otherwise they are upper bounds and the gap a lower bound).
     """
@@ -259,14 +258,10 @@ def pair_superadditivity_gap(states, opts: EofOptions | None = None) -> list[tup
     else:
         check_state_vectors(dims, vecs)
     s_pair = spectral_entropy(density_spectra(reduced_operators(vecs, dims, (0, 2))))
-    x_ab, x_apbp = (reduced_factors(vecs, dims, cut) for cut in ((0, 1), (2, 3)))
-    if dims[:2] == dims[2:]:
-        ef, exact = eof_stack(np.concatenate([x_ab, x_apbp]), dims[:2], opts)
-        ef_ab, ef_apbp = np.split(ef, 2)
-    else:
-        (ef_ab, exact_ab), (ef_apbp, exact_apbp) = (
-            eof_stack(x_ab, dims[:2], opts), eof_stack(x_apbp, dims[2:], opts))
-        exact = exact_ab and exact_apbp
+    (ef_ab, exact_ab), (ef_apbp, exact_apbp) = (
+        eof_stack(reduced_factors(vecs, dims, cut), [dims[i] for i in cut], opts)
+        for cut in ((0, 1), (2, 3)))
+    exact = exact_ab and exact_apbp
     return [(gap, {"entropy_pair": pair, "eof_ab": ab, "eof_a_prime_b_prime": apbp,
                    "exact_terms": exact})
             for gap, pair, ab, apbp in zip((s_pair - ef_ab - ef_apbp).tolist(), s_pair.tolist(),

@@ -91,14 +91,16 @@ class DensityMatrix:
 
     Validates Hermiticity, unit trace and positivity (up to 1e-9) on
     construction, so anything carrying this type is safe to feed onward.
-    `factor`, when known, is a d x k matrix X with mat = X X^dagger within
-    1e-9; `reduced_state` keeps the reshaped vector there, so that
+    `factor` is not a constructor argument: only `reduced_state` sets it,
+    to the reshaped state vector X with mat = X X^dagger, so that
     factor-based kernels (the two-qubit closed form) skip an eigen-solve.
+    It is not compared and not saved, so a reloaded or rebuilt state takes
+    the eigen-solve route, whose bits may differ by about 1e-15.
     """
 
     dims: tuple[int, ...]
     mat: np.ndarray
-    factor: np.ndarray | None = field(default=None, compare=False, repr=False)
+    factor: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         dims = check_dims(self.dims)
@@ -110,14 +112,6 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
-        if self.factor is not None:
-            x = np.array(self.factor, dtype=np.complex128)
-            if x.ndim != 2 or x.shape[0] != d:
-                raise ShapeError(f"factor shape {x.shape} does not match dims {dims}")
-            if float(np.abs(x @ x.conj().T - mat).max()) > STATE_TOL:
-                raise ValueError("factor X does not give mat = X X^dagger within 1e-9")
-            x.setflags(write=False)
-            object.__setattr__(self, "factor", x)
 
     @property
     def dim(self) -> int:
@@ -217,8 +211,11 @@ def reduced_state(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError(f"keep={keep} out of range for {n} subsystems")
     if len(keep) == n:
         return psi.to_density()
-    x = reduced_factors(psi.vec[None], psi.dims, keep)
-    return DensityMatrix(tuple(psi.dims[i] for i in keep), _gram(x)[0], factor=x[0])
+    x = reduced_factors(psi.vec[None], psi.dims, keep)[0]
+    rho = DensityMatrix(tuple(psi.dims[i] for i in keep), _gram(x))
+    x.setflags(write=False)
+    object.__setattr__(rho, "factor", x)     # mat is X X^dagger by construction
+    return rho
 
 
 def reduced_factors(vecs: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:

@@ -446,23 +446,6 @@ class TestConfig:
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
 
-    def test_config_leaves_no_default_behind(self, tmp_path, capsys):
-        # calls without --config share one parser; a config call builds its own
-        from eoflab import cli
-
-        shared = cli._shared_parser()
-        cfg = tmp_path / "eof.cfg"
-        cfg.write_text("source=werner\ntrials=3\nformat=csv\n")
-        code, out, _ = run(capsys, "--config", str(cfg), "probe", "superadditivity")
-        assert code == 0
-        assert "werner" in out
-        code, out, _ = run_json(capsys, "probe", "superadditivity", "--trials", "2")
-        assert code == 0
-        assert (out["trials"], out["extra"]["source"]) == (2, "random")
-        assert cli._shared_parser() is shared
-        args = shared.parse_args(["probe", "superadditivity"])
-        assert (args.source, args.trials, args.format) == (None, None, None)
-
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "verify", "flagged", "--config",
                            "/nonexistent.cfg")

@@ -21,7 +21,6 @@ from eoflab import (
     tensor_pure,
     von_neumann_entropy,
 )
-from eoflab.qmat import ShapeError
 from eoflab.qstate import (
     load_state,
     payload_to_state,
@@ -111,12 +110,12 @@ class TestReductionFactor:
         np.testing.assert_allclose(rho.factor @ rho.factor.conj().T, rho.mat, atol=1e-15)
         assert partial_trace(psi.to_density(), (0, 2)).factor is None
 
-    def test_factor_must_match_the_operator(self):
+    def test_callers_cannot_set_a_factor(self):
+        # only reduced_state sets it, from a checked state vector
         rho = reduced_state(random_pure((2, 2), 3), (0,))
-        with pytest.raises(ValueError, match="X X\\^dagger"):
-            DensityMatrix((2,), rho.mat, factor=np.eye(2) / math.sqrt(2.0))
-        with pytest.raises(ShapeError):
-            DensityMatrix((2,), rho.mat, factor=rho.factor.reshape(1, 4))
+        with pytest.raises(TypeError):
+            DensityMatrix((2,), rho.mat, factor=rho.factor)
+        assert not rho.factor.flags.writeable
 
     def test_factor_route_matches_the_eigen_route(self):
         # eof_wootters_2q takes a reduced state's own factor, else its eigh factor
