@@ -351,7 +351,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     opt(p, "--slack", type=float)
     opt(p, "--source", choices=("random", "case1", "werner"))
     opt(p, "--phi", type=float)
-    opt(p, "--members", type=int)
+    opt(p, "--members", type=int, help="question probes: a floor on members per trial")
     opt(p, "--rank", type=int)
     opt(p, "--dims", type=_dims_arg)
     p.set_defaults(fn=_cmd_probe)

@@ -6,12 +6,13 @@ recomputed from scratch with `reevaluate_argmin`; every decomposition is an
 run is evaluated as a stack, not one trial or one state at a time.  Each
 trial still draws its raw Gaussians from its own stream, seeded by
 (seed, trial); the samplers' builders then turn every trial's draws into
-states and isometries in one call each, and `product_decomposition_members`
-and `pair_superadditivity_gap` evaluate every member of every trial in one
-pass (trials whose shapes differ go in separate stacks).  The pair E_f
-terms of a pure member come straight from its reshape, a factor of each
-pair reduction, so those reductions are never formed.  A member's values
-do not depend on the stack it came in, so a run gives the bytes of its
+states and isometries in one call each, and the member kernels evaluate
+every member of every trial in one pass (trials whose shapes differ go in
+separate stacks).  The probes read the kernels' columns and build no
+per-member rows, and question1 skips the flagged operators only question2
+reads.  The pair E_f terms of a pure member come straight from its
+reshape, a factor of each pair reduction, so those reductions are never
+formed.  A member's values do not depend on the stack it came in, so a run gives the bytes of its
 trials run one by one, and re-evaluating an argmin member alone gives the
 same bits.  Runs longer than a chunk (STACK_BUDGET) are stacked chunk by
 chunk, so memory does not grow with the trial count.  `relation_chain_check`,
@@ -108,6 +109,11 @@ def _factor_stack(f) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     return dims, weights, check_isometry(flags)
 
 
+_MEMBER_FIELDS = ("index", "p", "entropy_pair", "entropy_a_prime", "gap_member",
+                  "gap_question1", "gap_question2", "term_a_flag", "term_flag_a_prime",
+                  "term_flag_flag", "flag_weight_sum", "flag_weight_sum_left")
+
+
 def product_decomposition_members(fa, fb, iso) -> list:
     """Member-level data for a decomposition of mix(fa) (x) mix(fb).
 
@@ -134,13 +140,31 @@ def product_decomposition_members(fa, fb, iso) -> list:
     (T, r) and flags (T, prod(dims), r), flag j of trial t in column j of
     flags[t].  Every member of every trial is built and evaluated in one
     stack, with PureState's and DensityMatrix's checks on every member and
-    reduction, and gets the bits it gets alone.
+    reduction, and gets the bits it gets alone.  The rows join the columns
+    of `_member_columns` and `_flagged_columns`, which the probes read.
     """
-    (dims_a, lj, vec_a), (dims_b, lk, vec_b) = _factor_stack(fa), _factor_stack(fb)
+    columns, counts, flagged = _member_columns(fa, fb, iso)
+    columns.update(_flagged_columns(columns["entropy_pair"], *flagged))
+    rows = [dict(zip(_MEMBER_FIELDS, row))
+            for row in zip(*(columns[f].tolist() for f in _MEMBER_FIELDS))]
+    if np.ndim(iso) != 3:
+        return rows
+    ends = np.cumsum(counts).tolist()
+    return [rows[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _member_columns(fa, fb, iso) -> tuple[dict, np.ndarray, tuple]:
+    """(columns, counts, flagged) for product_decomposition_members' arguments.
+
+    columns: every field outside `_flagged_columns`, as arrays over the kept
+    members, trial-major; counts: each trial's kept members; flagged: what
+    `_flagged_columns` takes after entropy_pair.
+    """
+    factor_a, factor_b = _factor_stack(fa), _factor_stack(fb)
+    (dims_a, lj, vec_a), (dims_b, lk, vec_b) = factor_a, factor_b
     iso = check_isometry(iso)
     if iso.ndim > 3:
         raise ShapeError(f"need an isometry or a stack of them, got shape {iso.shape}")
-    stacked = iso.ndim == 3
     nj, nk = lj.shape[-1], lk.shape[-1]
     if iso.shape[-1] != nj * nk:
         raise ShapeError(f"isometry has {iso.shape[-1]} columns, expected {nj * nk}")
@@ -150,11 +174,6 @@ def product_decomposition_members(fa, fb, iso) -> list:
     da, db = dims_a
     dap, dbp = dims_b
     dims = (da, db, dap, dbp)
-    # flag reductions: the left reduction of each factor member
-    xa = np.swapaxes(vec_a, -1, -2).reshape(-1, nj, da, db)
-    xb = np.swapaxes(vec_b, -1, -2).reshape(-1, nk, dap, dbp)
-    sig_j = np.einsum("...nab,...ncb->...nac", xa, xa.conj())
-    sig_k = np.einsum("...nab,...ncb->...nac", xb, xb.conj())
 
     # every member of every trial at once; a dropped member is evaluated with
     # p = 1 and left out of the checks and the result
@@ -193,34 +212,40 @@ def product_decomposition_members(fa, fb, iso) -> list:
     live = t_right > 1e-14
     normalized = spectral_entropy(vals_right / np.where(live, t_right, 1.0)[..., None])
     s_hat = np.where(live, w_right * normalized, 0.0).sum(axis=-1)[kept]
-    gap_member = s_pair - s_hat - s_ap
-
     lit_right = (lk[:, None] * spectral_entropy(vals_right)).sum(axis=-1)[kept]
     lit_left = (lj[:, None] * spectral_entropy(vals_left)).sum(axis=-1)[kept]
-    gap_q1 = s_pair - lit_right - lit_left
+    columns = {
+        "index": np.nonzero(kept)[1], "p": p[kept], "entropy_pair": s_pair,
+        "entropy_a_prime": s_ap, "gap_member": s_pair - s_hat - s_ap,
+        "gap_question1": s_pair - lit_right - lit_left,
+        "flag_weight_sum": w_right.sum(axis=-1)[kept],
+        "flag_weight_sum_left": w_left.sum(axis=-1)[kept],
+    }
+    return columns, kept.sum(axis=-1), (factor_a, factor_b, u, p, right_ops, left_ops, kept)
 
-    nu = (np.abs(u) ** 2) * outer[:, None] / p[..., None, None]
+
+def _flagged_columns(s_pair, factor_a, factor_b, u, p, right_ops, left_ops, kept) -> dict:
+    """gap_question2 and its three flagged terms, over the kept members.
+
+    Each member's three trace-one flagged operators (A / flag, flag / A',
+    flag / flag) are built and eigen-solved in one stack.
+    """
+    (dims_a, lj, vec_a), (dims_b, lk, vec_b) = factor_a, factor_b
+    da, dap = dims_a[0], dims_b[0]
+    # flag reductions: the left reduction of each factor member
+    xa = np.swapaxes(vec_a, -1, -2).reshape(-1, lj.shape[-1], *dims_a)
+    xb = np.swapaxes(vec_b, -1, -2).reshape(-1, lk.shape[-1], *dims_b)
+    sig_j = np.einsum("...nab,...ncb->...nac", xa, xa.conj())
+    sig_k = np.einsum("...nab,...ncb->...nac", xb, xb.conj())
+    nu = (np.abs(u) ** 2) * (lj[:, :, None] * lk[:, None, :])[:, None] / p[..., None, None]
     flagged = np.stack([
         np.einsum("...k,...mkab,...kcd->...macbd", lk, right_ops, sig_k),   # A / flag
         np.einsum("...j,...jab,...mjcd->...macbd", lj, sig_j, left_ops),    # flag / A'
         np.einsum("...mjk,...jab,...kcd->...macbd", nu, sig_j, sig_k),     # flag / flag
     ], axis=-5)[kept].reshape(-1, 3, da * dap, da * dap)
     term1, term2, term3 = spectral_entropy(np.clip(np.linalg.eigvalsh(flagged), 0.0, None)).T
-    gap_q2 = s_pair + term3 - term1 - term2
-
-    trial, index = np.nonzero(kept)
-    columns = {
-        "index": index, "p": p[kept], "entropy_pair": s_pair, "entropy_a_prime": s_ap,
-        "gap_member": gap_member, "gap_question1": gap_q1, "gap_question2": gap_q2,
-        "term_a_flag": term1, "term_flag_a_prime": term2, "term_flag_flag": term3,
-        "flag_weight_sum": w_right.sum(axis=-1)[kept],
-        "flag_weight_sum_left": w_left.sum(axis=-1)[kept],
-    }
-    rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
-    if not stacked:
-        return rows
-    ends = np.cumsum(kept.sum(axis=-1)).tolist()
-    return [rows[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    return {"gap_question2": s_pair + term3 - term1 - term2, "term_a_flag": term1,
+            "term_flag_a_prime": term2, "term_flag_flag": term3}
 
 
 def pair_superadditivity_gap(states, opts: EofOptions | None = None) -> list[tuple[float, dict]]:
@@ -235,10 +260,18 @@ def pair_superadditivity_gap(states, opts: EofOptions | None = None) -> list[tup
     reshaped as AB rows x A'B' columns is a factor X of rho_AB = X X^dagger,
     and its transpose one of rho_A'B', so `eof_stack` takes each pair's
     factor stack (the closed two-qubit form on the whole stack for a pair
-    of dims (2, 2), with no eigen-solve; a search per state otherwise).  Returns one (gap, detail)
-    per state; detail's exact_terms says whether both EoF terms used the
-    closed form (otherwise they are upper bounds and the gap a lower bound).
+    of dims (2, 2), with no eigen-solve; a search per state otherwise).
+    Returns one (gap, detail) per state; detail's exact_terms says whether
+    both EoF terms used the closed form (otherwise they are upper bounds
+    and the gap a lower bound).  The probe reads the same terms as columns
+    (`_pair_gap_columns`) and builds a detail only for its argmin.
     """
+    gaps, terms, exact = _pair_gap_columns(states, opts)
+    return [(gap, _pair_detail(terms, exact, i)) for i, gap in enumerate(gaps.tolist())]
+
+
+def _pair_gap_columns(states, opts: EofOptions | None) -> tuple:
+    """(gaps, (S(rho_AA'), E_f(rho_AB), E_f(rho_A'B')), exact_terms) as arrays."""
     if isinstance(states, tuple) and len(states) == 2 and isinstance(states[1], np.ndarray):
         dims, vecs = tuple(states[0]), states[1]
         states = None
@@ -261,11 +294,14 @@ def pair_superadditivity_gap(states, opts: EofOptions | None = None) -> list[tup
     (ef_ab, exact_ab), (ef_apbp, exact_apbp) = (
         eof_stack(reduced_factors(vecs, dims, cut), [dims[i] for i in cut], opts)
         for cut in ((0, 1), (2, 3)))
-    exact = exact_ab and exact_apbp
-    return [(gap, {"entropy_pair": pair, "eof_ab": ab, "eof_a_prime_b_prime": apbp,
-                   "exact_terms": exact})
-            for gap, pair, ab, apbp in zip((s_pair - ef_ab - ef_apbp).tolist(), s_pair.tolist(),
-                                           ef_ab.tolist(), ef_apbp.tolist())]
+    return s_pair - ef_ab - ef_apbp, (s_pair, ef_ab, ef_apbp), exact_ab and exact_apbp
+
+
+def _pair_detail(terms, exact: bool, i: int) -> dict:
+    """State i's detail from `_pair_gap_columns`' terms."""
+    pair, ab, apbp = (float(t[i]) for t in terms)
+    return {"entropy_pair": pair, "eof_ab": ab, "eof_a_prime_b_prime": apbp,
+            "exact_terms": exact}
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +395,14 @@ def superadditivity_probe(source: str = "random", trials: int = 100, seed: int =
     def run(rngs):
         found = candidates(rngs)
         counts = [len(c) for c in found]
-        gap_details = pair_superadditivity_gap((dims, np.concatenate(found)))
-        gaps = np.array([g for g, _ in gap_details])
-        extra["exact_terms"] = extra["exact_terms"] and gap_details[0][1]["exact_terms"]
+        gaps, terms, exact = _pair_gap_columns((dims, np.concatenate(found)), None)
+        extra["exact_terms"] = extra["exact_terms"] and exact
         starts = np.cumsum(counts) - counts
         best = [int(np.argmin(gaps[s:s + n])) for s, n in zip(starts, counts)]
         return gaps[starts + best], [{"members": n} for n in counts], lambda k: {
             "source": source, "member": best[k],
             "state": state_to_payload(PureState(dims, found[k][best[k]])),
-            "detail": gap_details[starts[k] + best[k]][1]}
+            "detail": _pair_detail(terms, exact, starts[k] + best[k])}
 
     most = 2 * rank_w if source == "werner" else 1      # candidates a trial draws
     return _search("superadditivity", trials, seed, slack, UPPER_BOUND_CAVEAT, extra,
@@ -415,33 +450,35 @@ def _question_probe(name: str, factor_a, factor_b, trials: int, members: int,
         shapes = [tuple(len(per[t][0]) for _, per in factors) for t in range(len(rngs))]
         isos = [complex_gaussian(rng, (max(int(members), a * b), a * b))
                 for rng, (a, b) in zip(rngs, shapes)]
-        mem, iso = [None] * len(rngs), [None] * len(rngs)
+        iso, index, gaps = ([None] * len(rngs) for _ in range(3))    # per trial
         for group in _by_shape(shapes).values():
             stacks = [(d, *(np.stack(x) for x in zip(*(per[t] for t in group))))
                       for d, per in factors]
             u = haar_isometries(np.stack([isos[t] for t in group]))
-            for t, u_t, mem_t in zip(group, u, product_decomposition_members(*stacks, u)):
-                iso[t], mem[t] = u_t, mem_t
-        gaps = [np.array([d[key] for d in m]) for m in mem]
+            columns, counts, flagged = _member_columns(*stacks, u)
+            if name == "question2":
+                q1 = columns["gap_question1"]
+                columns[key] = q2 = _flagged_columns(columns["entropy_pair"], *flagged)[key]
+                extra["min_gap_question1"] = min(extra["min_gap_question1"],
+                                                 float(q1[np.argmin(q1)]))
+                extra["implication_failures"] += int(np.count_nonzero(
+                    (q2 >= -GAP_TOL) & (q1 < -GAP_TOL)))
+            cuts = np.cumsum(counts)[:-1]
+            for t, u_t, index_t, gaps_t in zip(group, u, np.split(columns["index"], cuts),
+                                               np.split(columns[key], cuts)):
+                iso[t], index[t], gaps[t] = u_t, index_t, gaps_t
         best = [int(np.argmin(g)) for g in gaps]
-        if name == "question2":
-            q1 = np.array([d["gap_question1"] for m in mem for d in m])
-            q2 = np.array([d["gap_question2"] for m in mem for d in m])
-            extra["min_gap_question1"] = min(extra["min_gap_question1"],
-                                             float(q1[np.argmin(q1)]))
-            extra["implication_failures"] += int(np.count_nonzero(
-                (q2 >= -GAP_TOL) & (q1 < -GAP_TOL)))
 
         def instance(k: int) -> dict:
             fa, fb = (Ensemble(per[k][0], tuple(PureState(d, e) for e in per[k][1].T))
                       for d, per in factors)
-            return {"member": mem[k][best[k]]["index"],
+            return {"member": int(index[k][best[k]]),
                     "factor_a": ensemble_to_payload(fa), "factor_b": ensemble_to_payload(fb),
                     "isometry": {"shape": list(iso[k].shape),
                                  "data": complex_to_pairs(iso[k].reshape(-1))}}
 
         return (np.array([g[b] for g, b in zip(gaps, best)]),
-                [{"member": m[b]["index"], "members": len(m)} for m, b in zip(mem, best)],
+                [{"member": int(i[b]), "members": len(i)} for i, b in zip(index, best)],
                 instance)
 
     trial_size = max(int(members), ranks[0] * ranks[1]) * sizes[0] * sizes[1]
@@ -460,7 +497,8 @@ def probe_question1(factor_a=None, factor_b=None, trials: int = 100,
     superadditivity in the negative for decomposition members.  Factors
     default to the eigen-ensembles of fresh random states per trial; pass
     an Ensemble (its members are the flags) or a flagged-mixture spec (its
-    block ensemble) to pin one.
+    block ensemble) to pin one.  `members` is a floor: a trial evaluates
+    max(members, len(fa) * len(fb)) members (per_trial "members").
     """
     return _question_probe("question1", factor_a, factor_b, trials, members, seed,
                            slack, dims, rank)
@@ -475,7 +513,7 @@ def probe_question2(factor_a=None, factor_b=None, trials: int = 100,
     sampled member (gap_question2).  This statement implies the flag-split
     bound of probe_question1, so each run also counts members where the
     implication would fail numerically (extra["implication_failures"],
-    expected zero).
+    expected zero).  `members` is a floor, as in probe_question1.
     """
     return _question_probe("question2", factor_a, factor_b, trials, members, seed,
                            slack, dims, rank)

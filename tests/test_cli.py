@@ -356,6 +356,14 @@ class TestProbe:
             main(["probe", "superadditivity", flag, "4"])
         assert exc.value.code == 2
 
+    def test_members_is_a_floor(self, capsys):
+        # rank-2 factors need 4 members; --members asks for fewer and is raised
+        code, out, _ = run_json(capsys, "probe", "question1", "--members", "2",
+                                "--trials", "3")
+        assert code in (0, 1)
+        assert out["extra"]["members"] == 2
+        assert [e["members"] for e in out["per_trial"]] == [4, 4, 4]
+
     def test_seeded_runs_are_identical(self, capsys):
         _, out1, _ = run(capsys, "probe", "question1", "--trials", "5",
                          "--seed", "9")

@@ -212,3 +212,64 @@ class TestTrialStack:
         stacked = product_decomposition_members(fa, ((2, 3), weights, flags), isos)
         assert stacked == [product_decomposition_members(fa, fb, u)
                            for fb, u in zip(draws, isos)]
+
+
+def _bits(value):
+    """value with every float replaced by its hex form, so == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+# the question probes' shapes: the defaults, 2 (x) 3 factors of rank 3, and a
+# pinned Ensemble factor beside a random one
+QUESTION_SHAPES = {
+    "defaults": {},
+    "dims-2x3-rank-3": {"dims": (2, 3), "rank": 3},
+    "pinned-ensemble": {"factor_a": pinned("ensemble", 5)},
+}
+
+
+class TestQuestionColumns:
+    """The question probes read member columns; the rows give the same bits."""
+
+    @pytest.mark.parametrize("shape", sorted(QUESTION_SHAPES))
+    @pytest.mark.parametrize("seed", [3, 40])
+    @pytest.mark.parametrize("name", ["question1", "question2"])
+    def test_probe_matches_member_rows(self, name, seed, shape):
+        probe = probe_question1 if name == "question1" else probe_question2
+        kwargs = {"factor_a": None, "factor_b": None, "trials": 100, "members": 8,
+                  "seed": seed, "slack": 1e-6, "dims": (2, 2), "rank": 2,
+                  **QUESTION_SHAPES[shape]}
+        got = probe(**kwargs)
+        want = loop_question(name, **kwargs)      # product_decomposition_members rows
+        assert _bits(list(got.per_trial)) == _bits(list(want.per_trial))
+        assert _bits(got.argmin) == _bits(want.argmin)
+        assert got.min_gap.hex() == want.min_gap.hex()
+        for key in ("min_gap_question1", "implication_failures"):
+            assert _bits(got.extra.get(key)) == _bits(want.extra.get(key))
+        assert got.to_json() == want.to_json()
+
+    def test_question1_never_runs_the_flagged_kernel(self):
+        want = probe_question1(trials=20, seed=2)
+        broken = mock.Mock(side_effect=AssertionError("question1 read the flagged terms"))
+        with mock.patch.object(probes, "_flagged_columns", broken):
+            got = probe_question1(trials=20, seed=2)
+            with pytest.raises(AssertionError):
+                probe_question2(trials=20, seed=2)
+        assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("name", ["question1", "question2"])
+    def test_members_is_a_floor(self, name):
+        # rank-2 factors give 4 product members, more than the 2 asked for
+        probe = probe_question1 if name == "question1" else probe_question2
+        got = probe(members=2, trials=3, seed=1)
+        assert got.extra["members"] == 2
+        assert [e["members"] for e in got.per_trial] == [4, 4, 4]
+        assert got.argmin["isometry"]["shape"] == [4, 4]
+        got = probe(members=6, trials=3, seed=1)
+        assert [e["members"] for e in got.per_trial] == [6, 6, 6]
