@@ -93,18 +93,19 @@ def support_decomposition(rho: DensityMatrix, rank_tol: float = RANK_TOL):
 
 def eigen_ensemble(rho: DensityMatrix) -> Ensemble:
     """rho's eigen-ensemble {lam_j / sum(lam), e_j} over its support."""
-    [(weights, flags)] = eigen_ensembles(rho.mat[None])
+    [(weights, flags)] = eigen_ensembles(*herm_eig(rho.mat[None]))
     return Ensemble(weights, tuple(PureState(rho.dims, e) for e in flags.T))
 
 
-def eigen_ensembles(mats: np.ndarray) -> list:
-    """(weights, flags) of the eigen-ensemble of each matrix in a (T, d, d) stack.
+def eigen_ensembles(w: np.ndarray, v: np.ndarray) -> list:
+    """(weights, flags) of the eigen-ensemble of each matrix of a (T, d, d)
+    stack, from its eigensystem in herm_eig's convention: (T, d) eigenvalues
+    w, non-increasing, and (T, d, d) eigenvectors v.
 
     Trial t's weights are its eigenvalues above RANK_TOL over their sum, and
-    its flags the matching eigenvectors as the columns of a (d, r) array, in
-    herm_eig's basis.  The matrices are not checked as density operators.
+    its flags the matching eigenvectors as the columns of a (d, r) array.
+    Nothing here checks the matrices as density operators.
     """
-    w, v = herm_eig(mats)
     ranks = (w > RANK_TOL).sum(axis=-1)
     out = [None] * len(ranks)
     for r in np.unique(ranks):      # one group per support size

@@ -4,10 +4,18 @@ The minimizer searches decompositions of rho through the isometry map: an
 m x rank(rho) complex matrix Y, held as 2 m rank real parameters, has the
 polar factor V = Y (Y^dagger Y)^{-1/2}, an isometry that feeds
 `hjw_ensemble`, and the ensemble-average entanglement across the requested
-cut is pushed down by L-BFGS-B.  Each evaluation is one objective call,
-which returns the value with its exact gradient: a member cost maps the raw
-member columns sqrt(p_i) psi_i to the value and its Wirtinger gradient,
-which is chained back through the polar factor to the parameters.  The
+cut is pushed down by L-BFGS-B.  Every restart runs scipy's own L-BFGS-B
+steps (its reverse-communication routine `setulb`, driven the way
+`scipy.optimize.minimize` drives it), and all restarts run in lockstep:
+each round steps every live restart until it asks for f and g, then
+evaluates the pending points that share a member count m in one stacked
+objective call.  That call returns each point's value with its exact
+gradient: a member cost maps the raw (B, D, m) member columns
+sqrt(p_i) psi_i of B restarts to their B values and Wirtinger gradients,
+which are chained back through the polar factor to the parameters.  Every
+step acts on each point alone, and each restart's terms are summed in one
+flat order, so a restart gets the same bits in any stack and takes the
+steps of a scipy.optimize.minimize call of its own.  The
 member costs here are the entanglement entropy across a cut
 (`entropy_value_grad`, from one eigh of the smaller Gram matrix of the
 reshaped members) and the two-qubit Wootters EoF of a pair reduction
@@ -20,7 +28,8 @@ remaining restarts draw Gaussian m x rank Y (Haar-random isometries) from
 streams seeded by (seed, restart index), so the whole estimate is
 deterministic for fixed options.  No start is padded with zero rows: a zero
 row is a member of weight 0 whose gradient is exactly 0, so L-BFGS-B would
-never move it.
+never move it.  `EofEstimate.restart_runs` keeps each restart's start kind,
+member count, iterations, evaluations and stop reason.
 
 Every value this module produces is an upper bound on the true EoF; only the
 two-qubit closed form, and the decomposition that attains it
@@ -62,8 +71,8 @@ from .qstate import (
 # "auto" ensemble size: min(rank^2, max(AUTO_ENSEMBLE_FLOOR, 2 rank)) members
 AUTO_ENSEMBLE_FLOOR = 16
 
-# raw (D, m) member columns -> (value, dF/d conj(raw))
-MemberCost = Callable[[np.ndarray], tuple[float, np.ndarray]]
+# raw (B, D, m) member columns of B searches -> (values (B,), dF/d conj(raw))
+MemberCost = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def eof_pure(psi: PureState, cut: Iterable[int]) -> float:
@@ -92,7 +101,7 @@ def _flip_tau(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def concurrence_factors(x: np.ndarray, gradient: bool = False):
-    """Two-qubit concurrence of rho = X X^dagger for a (N, 4, k) stack of X.
+    """Two-qubit concurrence of rho = X X^dagger for a (..., 4, k) stack of X.
 
     C = max(0, s1 - s2 - s3 - s4) from the singular values s of the complex
     symmetric tau = X^T (Y x Y) X, which are the square roots of the
@@ -281,45 +290,55 @@ def wootters_decomposition(rho: DensityMatrix) -> Ensemble:
     return hjw_ensemble(rho, u[: lam.size].T)
 
 
-def entropy_value_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-    """sum_i p_i S(psi_i) over a (m, d_left, d_right) stack, and its gradient.
+def _member_sums(terms: np.ndarray, lead: tuple) -> np.ndarray:
+    """Each leading index's sum of its terms, in flat order: a row sum of a
+    (prod(lead), -1) array adds a search's terms exactly as a flat sum does."""
+    return terms.reshape(*lead, -1).sum(axis=-1)
+
+
+def entropy_value_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i p_i S(psi_i) over the (m, d_left, d_right) members of each
+    search in a (..., m, d_left, d_right) stack, and its gradient.
 
     Member i is X_i = sqrt(p_i) psi_i reshaped across a cut.  With
     M = X X^dagger and p = tr M, the term -tr M log2(M/p) has the Wirtinger
     gradient -log2(M/p) X = -X log2(X^dagger X / p), taken here from one
     eigh of the smaller of the two Gram matrices, whose eigenvalues are the
     squared Schmidt coefficients.  Terms the value drops (mu <= EIG_FLOOR,
-    or p <= 1e-15) get zero weight in the gradient too.
+    or p <= 1e-15) get zero weight in the gradient too.  The values have
+    the leading shape of the stack.
     """
     xh = np.swapaxes(x, -1, -2).conj()
     rows = x.shape[-2] <= x.shape[-1]
     lam2, u = np.linalg.eigh(x @ xh if rows else xh @ x)
     p = lam2.sum(axis=-1)
     p_safe = np.where(p > 1e-15, p, 1.0)
-    mu = lam2 / p_safe[:, None]
-    mask = (mu > EIG_FLOOR) & (p[:, None] > 1e-15)
+    mu = lam2 / p_safe[..., None]
+    mask = (mu > EIG_FLOOR) & (p[..., None] > 1e-15)
     log_mu = np.log2(np.where(mask, mu, 1.0))
-    value = float(np.where(mask, -lam2 * log_mu, 0.0).sum())
-    log_m = (u * log_mu[:, None, :]) @ np.swapaxes(u, -1, -2).conj()
+    value = _member_sums(np.where(mask, -lam2 * log_mu, 0.0), x.shape[:-3])
+    log_m = (u * log_mu[..., None, :]) @ np.swapaxes(u, -1, -2).conj()
     return value, -(log_m @ x if rows else x @ log_m)
 
 
-def wootters_value_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-    """sum_i p_i E_f(rho_i) over a (m, 4, k) stack, and its gradient.
+def wootters_value_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i p_i E_f(rho_i) over the (m, 4, k) members of each search in a
+    (..., m, 4, k) stack, and its gradient.
 
     Member i is a factor X_i of its unnormalized two-qubit reduction
     rho_i = X_i X_i^dagger with p = tr rho_i.  The term f = p E(c) with
     c = C/p has the Wirtinger gradient E(c) X + E'(c) (dC/d conj(X) - c X),
     which is zero wherever C clips to 0.  Members with p <= 1e-15 are given
-    c = 0, hence zero value and gradient.
+    c = 0, hence zero value and gradient.  The values have the leading
+    shape of the stack.
     """
     conc, dconc = concurrence_factors(x, gradient=True)
-    p = np.einsum("nij,nij->n", x.conj(), x).real
+    p = np.einsum("...ij,...ij->...", x.conj(), x).real
     live = p > 1e-15
     c = np.where(live, conc / np.where(live, p, 1.0), 0.0)
     e, de = _eof_from_concurrence(c)
-    grad = e[:, None, None] * x + de[:, None, None] * (dconc - c[:, None, None] * x)
-    return float((p * e).sum()), grad
+    grad = e[..., None, None] * x + de[..., None, None] * (dconc - c[..., None, None] * x)
+    return _member_sums(p * e, x.shape[:-3]), grad
 
 
 def cut_member_cost(dims: Sequence[int], cuts: Sequence,
@@ -329,9 +348,10 @@ def cut_member_cost(dims: Sequence[int], cuts: Sequence,
 
     The cuts must split `dims` into blocks of one shape, so that the members
     reshaped across every cut go to `value_grad` as one
-    (len(cuts) m, d_left, d_right) stack.  The returned cost maps the raw
-    (D, m) member columns sqrt(p_i) psi_i, in the native subsystem order of
-    `dims`, to (value, dF/d conj(raw)).
+    (..., len(cuts) m, d_left, d_right) stack.  The returned cost maps the
+    raw (B, D, m) member columns sqrt(p_i) psi_i of B searches, in the
+    native subsystem order of `dims`, to (values (B,), dF/d conj(raw)); it
+    takes any leading shape in place of B.
     """
     splits = [cut_permutation(dims, cut) for cut in cuts]
     shapes = {split[1:] for split in splits}
@@ -344,10 +364,12 @@ def cut_member_cost(dims: Sequence[int], cuts: Sequence,
     # flat positions in a member's k permuted copies of each native index
     back = np.argsort(perms, axis=1) + size * np.arange(k)[:, None]
 
-    def cost(raw: np.ndarray) -> tuple[float, np.ndarray]:
-        m = raw.shape[1]
-        value, g = value_grad(raw.T[:, perms].reshape(m * k, d_left, d_right))
-        return value, g.reshape(m, k * size)[:, back].sum(axis=1).T
+    def cost(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        *lead, _, m = raw.shape
+        members = np.swapaxes(raw, -1, -2)[..., perms]          # (..., m, k, D)
+        value, g = value_grad(members.reshape(*lead, m * k, d_left, d_right))
+        g = g.reshape(*lead, m, k * size)[..., back].sum(axis=-2)
+        return value, np.swapaxes(g, -1, -2)
 
     return cost
 
@@ -383,12 +405,33 @@ class EofOptions:
                 raise ValueError("ensemble_size must be >= 1 or 'auto'")
 
 
+@dataclass(frozen=True)
+class RestartRun:
+    """One restart of a search: how it started and how L-BFGS-B ended it.
+
+    `start` is "eigen", "warm" or "random", `members` the start's member
+    count m, and `stop` setulb's final task as scipy words it (for example
+    "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH").
+    """
+
+    start: str
+    members: int
+    nit: int
+    nfev: int
+    stop: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop.startswith("CONVERGENCE")
+
+
 @dataclass
 class EofEstimate:
     """Outcome of a minimization run.
 
     `value` is the smallest objective seen; nonconvergence is reported in
-    `converged`, never raised.
+    `converged`, never raised.  `restart_values` and `restart_runs` hold
+    one entry per restart, in start order.
     """
 
     value: float
@@ -397,22 +440,32 @@ class EofEstimate:
     restarts_used: int
     iterations: int
     restart_values: tuple[float, ...] = field(default=())
+    restart_runs: tuple[RestartRun, ...] = field(default=())
 
 
 def _pack(y: np.ndarray) -> np.ndarray:
-    """[Re Y, Im Y] of an m x rank complex Y: the search's parameter vector."""
-    return np.concatenate([y.real.ravel(), y.imag.ravel()])
+    """[Re Y, Im Y] of an m x rank complex Y, or of each Y in a (..., m, rank)
+    stack: the search's parameter vectors."""
+    lead = y.shape[:-2]
+    return np.concatenate([y.real.reshape(*lead, -1), y.imag.reshape(*lead, -1)], axis=-1)
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 class _DecompositionObjective:
     """sum_i p_i cost(psi_i) over the polar chart, with its exact gradient.
 
     A parameter vector x = _pack(Y) holds an m x rank complex Y, with m read
-    from len(x).  Its polar factor V = Y S^{-1/2}, S = Y^dagger Y, is the
-    isometry; every m x rank isometry is the polar factor of itself.  The
-    member columns are raw = basis V^T (column i is sqrt(p_i) psi_i), and
-    the member cost returns the value with the Wirtinger derivative
-    G_raw = dF/d conj(raw), which is chained back through raw -> V -> Y -> x.
+    from its length; a call takes a (B, 2 m rank) stack of them (any leading
+    shape serves) and returns the B values and the B gradients.  Its polar
+    factor V = Y S^{-1/2}, S = Y^dagger Y, is the isometry; every m x rank
+    isometry is the polar factor of itself.  The member columns are
+    raw = basis V^T (column i is sqrt(p_i) psi_i), and the member cost
+    returns the values with the Wirtinger derivative G_raw = dF/d conj(raw),
+    which is chained back through raw -> V -> Y -> x.  Every step acts on
+    each point of the stack alone, so a point gets the same bits in any stack.
     """
 
     def __init__(self, rho: DensityMatrix, cut, member_cost: MemberCost | None = None):
@@ -423,29 +476,30 @@ class _DecompositionObjective:
 
     def _polar(self, x: np.ndarray):
         """Y, S^{-1/2} and (sqrt(s), W) from S = Y^dagger Y = W diag(s) W^dagger."""
-        re, im = x.reshape(2, -1, self.rank)
-        y = re + 1j * im
-        s, w = np.linalg.eigh(y.conj().T @ y)
+        parts = x.reshape(*x.shape[:-1], 2, -1, self.rank)
+        y = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
+        s, w = np.linalg.eigh(_adjoint(y) @ y)
         root = np.sqrt(s)
-        return y, (w / root) @ w.conj().T, root, w
+        return y, (w / root[..., None, :]) @ _adjoint(w), root, w
 
     def isometry(self, x: np.ndarray) -> np.ndarray:
         """The polar factor of Y(x), which feeds `hjw_ensemble`."""
         y, inv_root, _, _ = self._polar(x)
         return y @ inv_root
 
-    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective value and its gradient at the parameter vector x."""
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Objective values and their gradients at a stack of parameter vectors."""
         y, inv_root, root, w = self._polar(x)
-        value, g_raw = self.cost(self.basis @ (y @ inv_root).T)    # (D, m) columns
-        g_v = (self.basis.conj().T @ g_raw).T
+        values, g_raw = self.cost(self.basis @ np.swapaxes(y @ inv_root, -1, -2))
+        g_v = np.swapaxes(self.basis.conj().T @ g_raw, -1, -2)
         # divided differences of s^{-1/2}, written without a difference
         # quotient, so equal or nearly equal s stay exact
-        gamma = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
-        wh = w.conj().T
-        n = w @ (gamma * (wh @ y.conj().T @ g_v @ w)) @ wh
-        g_y = g_v @ inv_root + y @ (n + n.conj().T)
-        return value, 2.0 * _pack(g_y)
+        row, col = root[..., :, None], root[..., None, :]
+        gamma = -1.0 / (row * col * (row + col))
+        wh = _adjoint(w)
+        n = w @ (gamma * (wh @ _adjoint(y) @ g_v @ w)) @ wh
+        g_y = g_v @ inv_root + y @ (n + _adjoint(n))
+        return values, 2.0 * _pack(g_y)
 
 
 def _params_for_ensemble(rho: DensityMatrix, e: Ensemble) -> np.ndarray:
@@ -467,6 +521,125 @@ def resolve_ensemble_size(rank: int, requested: int | str, warm_sizes: Sequence[
     return max(m, rank, *(int(s) for s in warm_sizes), 1)
 
 
+# scipy.optimize.minimize(method="L-BFGS-B")'s settings that the search
+# keeps: correction pairs, line-search steps per iteration, evaluation cap;
+# and the projected-gradient tolerance the search has always passed
+_MAXCOR, _MAXLS, _MAXFUN, _GTOL = 10, 20, 15000, 1e-6
+# setulb's task codes: task[0] is its state, task[1] the reason
+_NEW_X, _FG, _STOP = 1, 3, 5
+_STOP_MAXFUN, _STOP_MAXITER = 502, 504
+_STATES = {4: "CONVERGENCE", 5: "STOP", 6: "WARNING", 7: "ERROR", 8: "ABNORMAL"}
+_REASONS = {
+    0: "",
+    401: "NORM OF PROJECTED GRADIENT <= PGTOL",
+    402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+    502: "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",
+    504: "TOTAL NO. OF ITERATIONS REACHED LIMIT",
+    601: "ROUNDING ERRORS PREVENT PROGRESS",
+    602: "STP = STPMAX",
+    603: "STP = STPMIN",
+    604: "XTOL TEST SATISFIED",
+}
+
+
+class _LbfgsbRun:
+    """One restart's L-BFGS-B state for scipy's reverse-communication
+    `setulb`, kept as `scipy.optimize._lbfgsb_py._minimize_lbfgsb` keeps it.
+
+    `advance` runs `_minimize_lbfgsb`'s loop until setulb asks for f and g
+    at a point it has not been given, and `evaluated` hands them over.  As
+    scipy's ScalarFunction does, a request for the point last evaluated
+    reuses its f and g and is not counted in nfev.
+    """
+
+    def __init__(self, x0: np.ndarray):
+        n = x0.size
+        self.x = np.array(x0, dtype=np.float64)
+        self.f = 0.0
+        self.g = np.zeros(n)
+        self.x_eval = None
+        self.best = (math.inf, None)               # lowest value seen, and its point
+        self.nit = self.nfev = 0
+        self.bounds = np.zeros(n)                  # unread: nbd = 0 leaves x unbounded
+        self.nbd = np.zeros(n, np.int32)
+        self.wa = np.zeros(2 * _MAXCOR * n + 5 * n + 11 * _MAXCOR ** 2 + 8 * _MAXCOR)
+        self.iwa = np.zeros(3 * n, np.int32)
+        self.task = np.zeros(2, np.int32)
+        self.ln_task = np.zeros(2, np.int32)
+        self.lsave = np.zeros(4, np.int32)
+        self.isave = np.zeros(44, np.int32)
+        self.dsave = np.zeros(29)
+
+    def advance(self, setulb, factr: float, max_iterations: int) -> bool:
+        """Step until setulb wants f and g at a new point (True) or stops (False)."""
+        while True:
+            setulb(_MAXCOR, self.x, self.bounds, self.bounds, self.nbd, self.f, self.g,
+                   factr, _GTOL, self.wa, self.iwa, self.task, self.lsave, self.isave,
+                   self.dsave, _MAXLS, self.ln_task)
+            state = self.task[0]
+            if state == _FG:
+                if self.x_eval is None or not (self.x == self.x_eval).all():
+                    return True
+            elif state == _NEW_X:
+                self.nit += 1
+                if self.nit >= max_iterations:
+                    self.task[:] = _STOP, _STOP_MAXITER
+                elif self.nfev > _MAXFUN:
+                    self.task[:] = _STOP, _STOP_MAXFUN
+            else:
+                return False
+
+    def evaluated(self, x: np.ndarray, f: float, g: np.ndarray) -> None:
+        self.x_eval, self.f, self.g = x, f, g
+        self.nfev += 1
+        if f < self.best[0]:
+            self.best = (f, x)
+
+    def stop_reason(self) -> str:
+        state, reason = (int(t) for t in self.task)
+        return f"{_STATES.get(state, state)}: {_REASONS.get(reason, reason)}"
+
+
+def _lockstep_lbfgsb(objective: _DecompositionObjective, starts: Sequence[np.ndarray],
+                     opts: EofOptions) -> list[_LbfgsbRun]:
+    """scipy's L-BFGS-B from every start, all run in lockstep rounds.
+
+    A round advances each live run until it asks for f and g, then
+    evaluates the pending points that share a member count m (the length
+    of their parameter vectors) in one stacked objective call.  Each run
+    sees exactly the f and g that a scipy.optimize.minimize call of its own
+    would see, so it takes the same steps.
+    """
+    setulb = scipy.optimize._lbfgsb.setulb          # scipy.optimize loads here
+    factr = opts.convergence_tol / np.finfo(float).eps
+    runs = [_LbfgsbRun(x0) for x0 in starts]
+    live = runs
+    while live:
+        live = [run for run in live if run.advance(setulb, factr, opts.max_iterations)]
+        groups: dict[int, list[_LbfgsbRun]] = {}
+        for run in live:
+            groups.setdefault(run.x.size, []).append(run)
+        for group in groups.values():
+            xs = np.stack([run.x for run in group])
+            values, grads = objective(xs)
+            for run, x, f, g in zip(group, xs, values.tolist(), grads):
+                run.evaluated(x, f, g)
+    return runs
+
+
+def _search_starts(rho: DensityMatrix, rank: int, opts: EofOptions,
+                   warm_starts: Sequence[Ensemble]) -> list[tuple[str, np.ndarray]]:
+    """(kind, parameter vector) of every restart, in start order: the eigen
+    start, the warm starts, then Gaussian starts seeded by (seed, index)."""
+    m = resolve_ensemble_size(rank, opts.ensemble_size, [len(e) for e in warm_starts])
+    starts = [("eigen", _pack(np.eye(rank)))]
+    starts += [("warm", _params_for_ensemble(rho, e)) for e in warm_starts]
+    for k in range(len(starts), max(opts.restarts, len(starts))):
+        rng = np.random.default_rng([opts.seed, k])
+        starts.append(("random", rng.standard_normal(2 * m * rank)))
+    return starts
+
+
 def minimize_over_decompositions(
     rho: DensityMatrix,
     cut,
@@ -478,74 +651,43 @@ def minimize_over_decompositions(
 
     member_cost None means the default cost, entanglement entropy across
     `cut` (`cut_member_cost(rho.dims, cut)`).  A custom member_cost receives
-    the raw (D, m) member columns v_i = sqrt(p_i) psi_i in the state's
-    native subsystem order and returns the value sum_i p_i c(psi_i) with
-    its Wirtinger gradient dF/d conj(v), a (D, m) array; `cut_member_cost`
-    builds such costs from `entropy_value_grad` and `wootters_value_grad`.
-    The gradient is chained through the polar factor to the parameters, so one
-    L-BFGS-B evaluation is one objective call, which calls the member cost
-    once.
+    the raw (B, D, m) member columns v_i = sqrt(p_i) psi_i of B restarts at
+    once, in the state's native subsystem order, and returns each restart's
+    value sum_i p_i c(psi_i), shape (B,), with its Wirtinger gradient
+    dF/d conj(v), shape (B, D, m); `cut_member_cost` builds such costs from
+    `entropy_value_grad` and `wootters_value_grad`.  The gradient is chained
+    through the polar factor to the parameters, so one stacked objective
+    call calls the member cost once.
 
     Each start runs at its own member count m, read from its parameter
     vector: the eigen start at rank, a warm start at its member count, and
     the random restarts at `resolve_ensemble_size` (which floors m at the
     warm starts' sizes).  Zero rows added to a start would get a zero
     gradient and never move, so leaving them out keeps every restart the
-    same search.
+    same search.  All restarts run in lockstep (`_lockstep_lbfgsb`), each
+    on scipy's L-BFGS-B steps.
     """
     opts = opts if opts is not None else EofOptions()
     obj = _DecompositionObjective(rho, tuple(cut), member_cost)
-    rank = obj.rank
-    m = resolve_ensemble_size(rank, opts.ensemble_size, [len(e) for e in warm_starts])
-
-    starts = [_pack(np.eye(rank))]
-    starts += [_params_for_ensemble(rho, e) for e in warm_starts]
-    n_runs = max(opts.restarts, len(starts))
-    for k in range(len(starts), n_runs):
-        rng = np.random.default_rng([opts.seed, k])
-        starts.append(rng.standard_normal(2 * m * rank))
-
-    best_value = math.inf
-    best_x = starts[0]
-    best_run = (False, 0)
-    restart_values: list[float] = []
-
-    for x0 in starts:
-        run_best = [math.inf, x0]
-
-        def fun_and_grad(x, _run_best=run_best):
-            value, grad = obj(x)
-            if value < _run_best[0]:
-                _run_best[0] = value
-                _run_best[1] = x.copy()
-            return value, grad
-
-        res = scipy.optimize.minimize(
-            fun_and_grad,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": opts.max_iterations,
-                "ftol": opts.convergence_tol,
-                "gtol": 1e-6,
-            },
-        )
-        value, x_best_run = run_best
-        restart_values.append(float(value))
-        if value < best_value:
-            best_value = float(value)
-            best_x = x_best_run
-            best_run = (bool(res.success), int(res.nit))
+    starts = _search_starts(rho, obj.rank, opts, warm_starts)
+    runs = _lockstep_lbfgsb(obj, [x0 for _, x0 in starts], opts)
+    records = tuple(RestartRun(kind, x0.size // (2 * obj.rank), run.nit, run.nfev,
+                               run.stop_reason())
+                    for (kind, x0), run in zip(starts, runs))
+    best_value, best_x, best_record = math.inf, starts[0][1], None
+    for run, record in zip(runs, records):
+        if run.best[0] < best_value:
+            (best_value, best_x), best_record = run.best, record
 
     ensemble = hjw_ensemble(rho, obj.isometry(best_x))
     return EofEstimate(
         value=float(best_value),
         best_ensemble=ensemble,
-        converged=best_run[0],
-        restarts_used=n_runs,
-        iterations=best_run[1],
-        restart_values=tuple(restart_values),
+        converged=best_record is not None and best_record.converged,
+        restarts_used=len(runs),
+        iterations=best_record.nit if best_record is not None else 0,
+        restart_values=tuple(float(run.best[0]) for run in runs),
+        restart_runs=records,
     )
 
 

@@ -48,7 +48,7 @@ from .eof import (
     wootters_decomposition,
     wootters_value_grad,
 )
-from .qmat import ShapeError
+from .qmat import ShapeError, as_cmatrix, canonical_eig
 from .qstate import (
     DensityMatrix,
     PureState,
@@ -441,9 +441,10 @@ def _question_probe(name: str, factor_a, factor_b, trials: int, members: int,
         factors = []        # per factor: its dims and every trial's (weights, flags)
         for f, g in zip(pinned, draws):
             if f is None:
-                mats = gaussian_densities(np.stack(g))
-                density_spectra(mats)               # DensityMatrix's checks
-                factors.append((grid, eigen_ensembles(mats)))
+                # one eigh of each draw, with DensityMatrix's checks and herm_eig's
+                w, v = density_spectra(as_cmatrix(gaussian_densities(np.stack(g))),
+                                       vectors=True)
+                factors.append((grid, eigen_ensembles(*canonical_eig(w, v))))
             else:
                 flags = np.column_stack([s.vec for s in f.states])
                 factors.append((f.dims, [(f.weights, flags)] * len(rngs)))

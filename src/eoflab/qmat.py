@@ -3,7 +3,8 @@
 `as_cmatrix` validates a matrix or a stack of them, and `herm_eig` checks
 Hermitian symmetry and gives the deterministic eigensystem (non-increasing
 eigenvalues, canonical phases) that the ensemble map is built on, for one
-matrix or a stack.  The error classes
+matrix or a stack; `canonical_eig` puts an eigh already taken into that
+convention.  The error classes
 here are shared by every module.  Hot loops elsewhere call numpy directly.
 """
 
@@ -62,7 +63,13 @@ def herm_eig(a, tol: float = HERM_TOL) -> HermEig:
     adjoint = np.swapaxes(a.conj(), -1, -2)
     if a.size and float(np.max(np.abs(a - adjoint))) > tol:
         raise SymmetryError(f"matrix is not Hermitian within {tol:g}")
-    w, v = np.linalg.eigh((a + adjoint) / 2)
+    return canonical_eig(*np.linalg.eigh((a + adjoint) / 2))
+
+
+def canonical_eig(w: np.ndarray, v: np.ndarray) -> HermEig:
+    """An `np.linalg.eigh` result (ascending w, eigenvectors v, for one matrix
+    or a stack) in herm_eig's convention: non-increasing eigenvalues, and
+    each eigenvector's first significant component real positive."""
     w = w[..., ::-1].copy()
     v = v[..., ::-1].copy()
     # canonical phase: first component with magnitude above threshold -> real

@@ -151,6 +151,7 @@ class TestCompute:
                                 "--seed", "1", "--ensemble-size", "8",
                                 "--dump-ensemble", dump)
         assert code == 0
+        assert "restart_runs" not in out        # the run records stay off stdout
         ens = load_ensemble(dump)
         assert len(ens) == out["ensemble_members"]
         assert float(ens.weights.sum()) == pytest.approx(1.0)

@@ -445,19 +445,21 @@ class TestGenericObjective:
         rho = two_qubit(40)
 
         def left_entropy(raw):
-            # same cost as the default path, computed the slow way: member by
-            # member, with the gradient -log2(M/p) X from an eigendecomposition
-            value, grad = 0.0, np.zeros_like(raw)
-            for i in range(raw.shape[1]):
-                x = raw[:, i].reshape(2, 2)
-                w, v = np.linalg.eigh(x @ x.conj().T)
-                p = w.sum()
-                if p <= 1e-15:
-                    continue
-                keep = w / p > 1e-12
-                log_mu = np.log2(np.where(keep, w / p, 1.0))
-                value -= float((w * log_mu).sum())
-                grad[:, i] = -((v * log_mu) @ v.conj().T @ x).reshape(-1)
+            # same cost as the default path, computed the slow way: restart by
+            # restart and member by member, with the gradient -log2(M/p) X
+            # from an eigendecomposition
+            value, grad = np.zeros(raw.shape[0]), np.zeros_like(raw)
+            for b in range(raw.shape[0]):
+                for i in range(raw.shape[2]):
+                    x = raw[b, :, i].reshape(2, 2)
+                    w, v = np.linalg.eigh(x @ x.conj().T)
+                    p = w.sum()
+                    if p <= 1e-15:
+                        continue
+                    keep = w / p > 1e-12
+                    log_mu = np.log2(np.where(keep, w / p, 1.0))
+                    value[b] -= float((w * log_mu).sum())
+                    grad[b, :, i] = -((v * log_mu) @ v.conj().T @ x).reshape(-1)
             return value, grad
 
         opts = EofOptions(restarts=3, ensemble_size=6, seed=16)
@@ -466,14 +468,33 @@ class TestGenericObjective:
         assert generic.value == pytest.approx(default.value, abs=1e-6)
 
 
+def _scipy_restart(obj, x0, opts):
+    """One restart as its own scipy.optimize.minimize call on a stack of one
+    point, the way the search ran before its restarts ran in lockstep; the
+    lowest value it evaluated is kept as `best`."""
+    import scipy.optimize
+
+    best = [math.inf]
+
+    def fun_and_grad(x):
+        values, grads = obj(x[None])
+        if values[0] < best[0]:
+            best[0] = float(values[0])
+        return float(values[0]), grads[0]
+
+    res = scipy.optimize.minimize(fun_and_grad, x0, jac=True, method="L-BFGS-B",
+                                  options={"maxiter": opts.max_iterations,
+                                           "ftol": opts.convergence_tol, "gtol": 1e-6})
+    res.best = best[0]
+    return res
+
+
 def _difference_gradient(obj, x, h=1e-6):
-    """Parameter-space central differences of the objective value."""
-    grad = np.zeros_like(x)
-    for k in range(x.size):
-        e = np.zeros_like(x)
-        e[k] = h
-        grad[k] = (obj(x + e)[0] - obj(x - e)[0]) / (2 * h)
-    return grad
+    """Parameter-space central differences of the objective value, all
+    2 len(x) points in one stacked call."""
+    steps = h * np.eye(x.size)
+    values = obj(np.concatenate([x + steps, x - steps]))[0]
+    return (values[:x.size] - values[x.size:]) / (2 * h)
 
 
 def _gradient_points(m, rank, seed):
@@ -568,8 +589,8 @@ class TestObjectiveGradient:
 
         m = 16
         obj = _DecompositionObjective(rho, (0, 2), counting_cost)
-        obj(np.random.default_rng(62).standard_normal(2 * m * obj.rank))
-        assert passed == [(16, m)]
+        obj(np.random.default_rng(62).standard_normal((3, 2 * m * obj.rank)))
+        assert passed == [(3, 16, m)]
 
 
 CHAIN_COSTS = [None, (False, False), (False, True), (True, False), (True, True)]
@@ -622,32 +643,19 @@ class TestLiveMembers:
         np.testing.assert_array_equal(grad[:, dead], 0.0)
 
     @pytest.mark.parametrize("chain", CHAIN_COSTS, ids=CHAIN_IDS)
-    def test_eigen_start_without_zero_rows_takes_the_same_steps(self, monkeypatch, chain):
-        import scipy.optimize
-
+    def test_eigen_start_without_zero_rows_takes_the_same_steps(self, chain):
         from eoflab.eof import _DecompositionObjective, _pack, minimize_over_decompositions
 
         rho = tensor(two_qubit(78, rank=2), two_qubit(79, rank=2))
         opts = EofOptions(restarts=1)
-        minimize = scipy.optimize.minimize
-        runs = []
-
-        def recording(*args, **kwargs):
-            runs.append(minimize(*args, **kwargs))
-            return runs[-1]
-
-        monkeypatch.setattr(scipy.optimize, "minimize", recording)
-        minimize_over_decompositions(rho, (0, 2), opts, _member_cost(chain))
-        monkeypatch.undo()
+        est = minimize_over_decompositions(rho, (0, 2), opts, _member_cost(chain))
 
         obj = _DecompositionObjective(rho, (0, 2), _member_cost(chain))
-        padded = minimize(obj, _pack(np.eye(16, obj.rank)), jac=True, method="L-BFGS-B",
-                          options={"maxiter": opts.max_iterations,
-                                   "ftol": opts.convergence_tol, "gtol": 1e-6})
-        [live] = runs
-        assert live.x.size == 2 * obj.rank * obj.rank
+        padded = _scipy_restart(obj, _pack(np.eye(16, obj.rank)), opts)
+        [live] = est.restart_runs
+        assert live.members == obj.rank
         assert (live.nit, live.nfev) == (padded.nit, padded.nfev)
-        assert abs(live.fun - padded.fun) <= 1e-12
+        assert abs(est.restart_values[0] - padded.fun) <= 1e-12
 
     @pytest.mark.parametrize("cuts, kernel", [
         ([(0,), (2,)], "entropy"), ([(0, 1), (2, 3)], "wootters"),
@@ -693,6 +701,74 @@ class TestLiveMembers:
         want_value, want_grad = _svd_entropy_value_grad(x)
         assert value == pytest.approx(want_value, abs=1e-12)
         np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-7)
+
+
+def _assert_restarts_match_scipy(rho, cut, opts, chain=None, warm_starts=()):
+    """Every restart of a lockstep search takes the steps of its own
+    scipy.optimize.minimize call: equal (nit, nfev, success) and stop
+    message, and its value bit for bit."""
+    from eoflab.eof import _DecompositionObjective, _search_starts, minimize_over_decompositions
+
+    est = minimize_over_decompositions(rho, cut, opts, _member_cost(chain), warm_starts)
+    obj = _DecompositionObjective(rho, tuple(cut), _member_cost(chain))
+    starts = _search_starts(rho, obj.rank, opts, warm_starts)
+    assert len(est.restart_runs) == len(est.restart_values) == len(starts) == est.restarts_used
+    best = None
+    for (kind, x0), run, value in zip(starts, est.restart_runs, est.restart_values):
+        ref = _scipy_restart(obj, x0, opts)
+        assert (run.start, run.members) == (kind, x0.size // (2 * obj.rank))
+        assert (run.nit, run.nfev, run.converged) == (ref.nit, ref.nfev, ref.success)
+        assert run.stop == ref.message
+        assert value.hex() == ref.best.hex()
+        if best is None or ref.best < best[0]:
+            best = (ref.best, ref)
+    assert est.value == best[0]
+    assert (est.iterations, est.converged) == (best[1].nit, best[1].success)
+    return est
+
+
+class TestLockstep:
+    """All restarts run in lockstep on scipy's L-BFGS-B steps, the same search
+    as one scipy.optimize.minimize call per restart."""
+
+    @pytest.mark.parametrize("ensemble_size", [6, "auto"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_default_cost(self, ensemble_size, warm):
+        rho = two_qubit(90, rank=3)
+        # warm starts of 4 and 5 members: with the eigen start (3) and the
+        # random restarts, four member counts share the rounds
+        warm_starts = ([hjw_ensemble(rho, random_isometry(m, 3, [91, m])) for m in (4, 5)]
+                       if warm else ())
+        est = _assert_restarts_match_scipy(
+            rho, (0,), EofOptions(restarts=6, ensemble_size=ensemble_size, seed=92),
+            warm_starts=warm_starts)
+        kinds = [run.start for run in est.restart_runs]
+        assert kinds == ["eigen"] + ["warm"] * (2 * warm) + ["random"] * (5 - 2 * warm)
+        assert len({run.members for run in est.restart_runs}) == 2 + 2 * warm
+
+    @pytest.mark.parametrize("chain", CHAIN_COSTS[1:], ids=CHAIN_IDS[1:])
+    def test_chain_costs(self, chain):
+        ra, rb = two_qubit(93, rank=2), two_qubit(94, rank=2)
+        warm = [product_ensemble(wootters_decomposition(ra), wootters_decomposition(rb))]
+        _assert_restarts_match_scipy(tensor(ra, rb), (0, 2), EofOptions(restarts=3, seed=95),
+                                     chain, warm)
+
+    def test_one_iteration(self):
+        est = _assert_restarts_match_scipy(
+            two_qubit(96), (0,), EofOptions(restarts=4, max_iterations=1, seed=97))
+        assert all(run.nit == 1 for run in est.restart_runs)
+        assert {run.stop for run in est.restart_runs} == {
+            "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"}
+        assert not est.converged
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3)]), rank=st.integers(1, 4),
+           restarts=st.integers(1, 5), ensemble_size=st.sampled_from(["auto", 4, 7]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_seed_sweep(self, dims, rank, restarts, ensemble_size, seed):
+        rho = random_density_dims(dims, rank, [98, seed])
+        _assert_restarts_match_scipy(
+            rho, (0,), EofOptions(restarts=restarts, ensemble_size=ensemble_size, seed=seed))
 
 
 class TestObjectivePolar:

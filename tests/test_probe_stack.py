@@ -37,6 +37,7 @@ from eoflab.ensembles import (
     hjw_ensemble,
     support_decomposition,
 )
+from eoflab.qmat import herm_eig
 from eoflab.qstate import complex_to_pairs, state_to_payload
 from eoflab.reports import GAP_TOL
 from eoflab.statezoo import (
@@ -197,7 +198,7 @@ class TestTrialStack:
 
     def test_eigen_ensembles_group_by_rank(self):
         mats = np.stack([random_density_dims((2, 3), r, [7, r]).mat for r in (3, 1, 6, 3)])
-        for mat, (weights, flags) in zip(mats, eigen_ensembles(mats)):
+        for mat, (weights, flags) in zip(mats, eigen_ensembles(*herm_eig(mats))):
             alone = eigen_ensemble(DensityMatrix((2, 3), mat))
             assert weights.tobytes() == alone.weights.tobytes()
             assert flags.T.tobytes() == np.stack([s.vec for s in alone.states]).tobytes()
