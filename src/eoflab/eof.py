@@ -525,21 +525,10 @@ def resolve_ensemble_size(rank: int, requested: int | str, warm_sizes: Sequence[
 # keeps: correction pairs, line-search steps per iteration, evaluation cap;
 # and the projected-gradient tolerance the search has always passed
 _MAXCOR, _MAXLS, _MAXFUN, _GTOL = 10, 20, 15000, 1e-6
-# setulb's task codes: task[0] is its state, task[1] the reason
+# setulb's task codes that the loop reads: task[0] is its state, task[1]
+# the reason
 _NEW_X, _FG, _STOP = 1, 3, 5
 _STOP_MAXFUN, _STOP_MAXITER = 502, 504
-_STATES = {4: "CONVERGENCE", 5: "STOP", 6: "WARNING", 7: "ERROR", 8: "ABNORMAL"}
-_REASONS = {
-    0: "",
-    401: "NORM OF PROJECTED GRADIENT <= PGTOL",
-    402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
-    502: "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",
-    504: "TOTAL NO. OF ITERATIONS REACHED LIMIT",
-    601: "ROUNDING ERRORS PREVENT PROGRESS",
-    602: "STP = STPMAX",
-    603: "STP = STPMIN",
-    604: "XTOL TEST SATISFIED",
-}
 
 
 class _LbfgsbRun:
@@ -596,8 +585,9 @@ class _LbfgsbRun:
             self.best = (f, x)
 
     def stop_reason(self) -> str:
+        from scipy.optimize._lbfgsb_py import status_messages, task_messages
         state, reason = (int(t) for t in self.task)
-        return f"{_STATES.get(state, state)}: {_REASONS.get(reason, reason)}"
+        return f"{status_messages[state]}: {task_messages[reason]}"
 
 
 def _lockstep_lbfgsb(objective: _DecompositionObjective, starts: Sequence[np.ndarray],

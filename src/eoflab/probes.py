@@ -559,7 +559,7 @@ def _chain_cost(left_eof: bool, right_eof: bool) -> MemberCost:
         return costs[0]
     eof_cost, entropy_cost = costs
 
-    def cost(raw: np.ndarray) -> tuple[float, np.ndarray]:
+    def cost(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         eof_value, eof_grad = eof_cost(raw)
         entropy_value, entropy_grad = entropy_cost(raw)
         return eof_value + entropy_value, eof_grad + entropy_grad
