@@ -197,6 +197,12 @@ def _conditionals(spec: Case1Spec, row_weights) -> Ensemble:
     return Ensemble(np.array([w for w, _ in kept]), tuple(c for _, c in kept))
 
 
+# each search check's own search options, used where it is given none
+CASE1_SEARCH = EofOptions(restarts=8, seed=11)
+CASE2_SEARCH = EofOptions(restarts=6, seed=5)
+WEAK_ADDITIVITY_SEARCH = EofOptions(restarts=4, seed=21)
+
+
 def check_case1(spec: Case1Spec, opts: EofOptions | None = None,
                 tol: float = GAP_TOL, slack: float = 1e-3) -> CheckReport:
     """Identities and bounds for the doubled-Schmidt pure family.
@@ -217,7 +223,7 @@ def check_case1(spec: Case1Spec, opts: EofOptions | None = None,
     require_tolerance("tol", tol)
     require_tolerance("slack", slack)
     if opts is None:
-        opts = EofOptions(restarts=8, seed=11)
+        opts = CASE1_SEARCH
     psi = case1_state(spec)
     s_aa = von_neumann_entropy(reduced_state(psi, (0, 2)))
     s_a = von_neumann_entropy(reduced_state(psi, (0,)))
@@ -344,7 +350,7 @@ def check_case2(spec_a: Case2Spec, spec_b: Case2Spec, opts: EofOptions | None = 
                     "weight_sum_error": float(werr)})
 
     if opts is None:
-        opts = EofOptions(restarts=6, seed=5)
+        opts = CASE2_SEARCH
     ef_a = ensemble_average_entanglement(ens_a, (0,))
     ef_b = ensemble_average_entanglement(ens_b, (0,))
     est = eof_minimize(tensor(case2_factor(spec_a), case2_factor(spec_b)), (0, 2), opts,
@@ -382,7 +388,7 @@ def check_weak_additivity(pairs: int = 10, seed: int = 0, slack: float = 2e-3,
     require_count("pairs", pairs)
     require_tolerance("slack", slack)
     if opts is None:
-        opts = EofOptions(restarts=4, seed=21)
+        opts = WEAK_ADDITIVITY_SEARCH
     per = []
     worst = math.inf
     surplus = 0.0

@@ -12,12 +12,16 @@ or `compute` on a pure state, does not read.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 
 import numpy as np
 
 from .checks import (
+    CASE1_SEARCH,
+    CASE2_SEARCH,
+    WEAK_ADDITIVITY_SEARCH,
     case1_suite,
     check_case2,
     check_flagged_identity,
@@ -28,6 +32,7 @@ from .checks import (
 from .ensembles import save_ensemble
 from .eof import EofOptions, eof_minimize, eof_pure, eof_wootters_2q
 from .probes import (
+    RELATION_CHAIN_SEARCH,
     probe_question1,
     probe_question2,
     relation_chain_check,
@@ -100,11 +105,21 @@ def _apply_config(parser: argparse.ArgumentParser, commands: dict, command: str,
 
 # the EofOptions fields the command line sets
 _SEARCH = ("restarts", "seed", "ensemble_size", "max_iterations")
+# each search check's own search options, which the flags change field by field
+_CHECK_SEARCH = {"case1": CASE1_SEARCH, "case2": CASE2_SEARCH,
+                 "weak-additivity": WEAK_ADDITIVITY_SEARCH,
+                 "relation-chain": RELATION_CHAIN_SEARCH}
 
 
-def _eof_options(args: argparse.Namespace) -> EofOptions | None:
-    fields = {k: getattr(args, k) for k in _SEARCH if getattr(args, k) is not None}
-    return EofOptions(**fields) if fields else None
+def _eof_options(args: argparse.Namespace, keywords, base: EofOptions | None) -> EofOptions | None:
+    """The search options the flags set, over `base` (a check's own options),
+    or None if they set none.  --seed is a search field only where the
+    entry has no seed of its own: a check's --seed seeds the check."""
+    fields = {k: getattr(args, k) for k in _SEARCH
+              if getattr(args, k) is not None and not (k == "seed" and k in keywords)}
+    if not fields:
+        return None
+    return EofOptions(**fields) if base is None else dataclasses.replace(base, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +258,7 @@ def _run(table: dict, names, args: argparse.Namespace, subject: str) -> list:
         fn, keywords = table[name]
         kw = {k: getattr(args, k, None) for k in keywords if getattr(args, k, None) is not None}
         if "opts" in keywords:
-            kw["opts"] = _eof_options(args)
+            kw["opts"] = _eof_options(args, keywords, _CHECK_SEARCH.get(name))
         out = fn(**kw)
         reports.extend(out if isinstance(out, list) else [out])
     return reports

@@ -14,14 +14,18 @@ gradient: a member cost maps the raw (B, D, m) member columns
 sqrt(p_i) psi_i of B restarts to their B values and Wirtinger gradients,
 which are chained back through the polar factor to the parameters.  Every
 step acts on each point alone, and each restart's terms are summed in one
-flat order, so a restart gets the same bits in any stack and takes the
-steps of a scipy.optimize.minimize call of its own.  The
-member costs here are the entanglement entropy across a cut
-(`entropy_value_grad`, from one eigh of the smaller Gram matrix of the
-reshaped members) and the two-qubit Wootters EoF of a pair reduction
-(`wootters_value_grad`), whose concurrence and gradient come from one
-batched kernel, `concurrence_factors`; `cut_member_cost` sums either over
-several cuts of one block shape in one stacked kernel call.
+flat order (`member_sums`), so a restart gets the same bits in any stack
+and takes the steps of a scipy.optimize.minimize call of its own.  Several
+searches of one state with different member costs (the parts of a
+`PartCost`, which values each point under its own part's cost) run as one
+lockstep the same way (`minimize_parts`); one search is a single part.
+The member kernels return unreduced terms with their gradients: the
+entanglement entropy across a cut (`entropy_terms`, from one eigh of the
+smaller Gram matrix of the reshaped members) and the two-qubit Wootters
+EoF of a pair reduction (`wootters_terms`), whose concurrence and gradient
+come from one batched kernel, `concurrence_factors`; `cut_member_cost`
+sums either over several cuts of one block shape in one stacked kernel
+call.
 Restart 0 starts from Y = 1, rank x rank (the eigen-decomposition), optional
 warm starts follow as their own isometries, one row per member, and the
 remaining restarts draw Gaussian m x rank Y (Haar-random isometries) from
@@ -73,6 +77,9 @@ AUTO_ENSEMBLE_FLOOR = 16
 
 # raw (B, D, m) member columns of B searches -> (values (B,), dF/d conj(raw))
 MemberCost = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+# the same for searches of several parts, each point valued by its own part's
+# cost: (raw (B, D, m), parts (B,)) -> (values (B,), dF/d conj(raw))
+PartCost = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def eof_pure(psi: PureState, cut: Iterable[int]) -> float:
@@ -290,23 +297,24 @@ def wootters_decomposition(rho: DensityMatrix) -> Ensemble:
     return hjw_ensemble(rho, u[: lam.size].T)
 
 
-def _member_sums(terms: np.ndarray, lead: tuple) -> np.ndarray:
+def member_sums(terms: np.ndarray, lead: tuple) -> np.ndarray:
     """Each leading index's sum of its terms, in flat order: a row sum of a
     (prod(lead), -1) array adds a search's terms exactly as a flat sum does."""
     return terms.reshape(*lead, -1).sum(axis=-1)
 
 
-def entropy_value_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_i p_i S(psi_i) over the (m, d_left, d_right) members of each
-    search in a (..., m, d_left, d_right) stack, and its gradient.
+def entropy_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of p_i S(psi_i) for each (d_left, d_right) member in a
+    (..., d_left, d_right) stack, and its gradient.
 
     Member i is X_i = sqrt(p_i) psi_i reshaped across a cut.  With
-    M = X X^dagger and p = tr M, the term -tr M log2(M/p) has the Wirtinger
+    M = X X^dagger and p = tr M, p S = -tr M log2(M/p) has the Wirtinger
     gradient -log2(M/p) X = -X log2(X^dagger X / p), taken here from one
-    eigh of the smaller of the two Gram matrices, whose eigenvalues are the
-    squared Schmidt coefficients.  Terms the value drops (mu <= EIG_FLOOR,
-    or p <= 1e-15) get zero weight in the gradient too.  The values have
-    the leading shape of the stack.
+    eigh of the smaller of the two Gram matrices, whose eigenvalues lam are
+    the squared Schmidt coefficients.  The terms are -lam log2(lam/p), one
+    per eigenvalue, shape (..., min(d_left, d_right)); `member_sums` adds
+    them up.  Terms the value drops (lam/p <= EIG_FLOOR, or p <= 1e-15) are
+    0 and get zero weight in the gradient too.
     """
     xh = np.swapaxes(x, -1, -2).conj()
     rows = x.shape[-2] <= x.shape[-1]
@@ -316,21 +324,21 @@ def entropy_value_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu = lam2 / p_safe[..., None]
     mask = (mu > EIG_FLOOR) & (p[..., None] > 1e-15)
     log_mu = np.log2(np.where(mask, mu, 1.0))
-    value = _member_sums(np.where(mask, -lam2 * log_mu, 0.0), x.shape[:-3])
+    terms = np.where(mask, -lam2 * log_mu, 0.0)
     log_m = (u * log_mu[..., None, :]) @ np.swapaxes(u, -1, -2).conj()
-    return value, -(log_m @ x if rows else x @ log_m)
+    return terms, -(log_m @ x if rows else x @ log_m)
 
 
-def wootters_value_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_i p_i E_f(rho_i) over the (m, 4, k) members of each search in a
-    (..., m, 4, k) stack, and its gradient.
+def wootters_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The term p_i E_f(rho_i) of each (4, k) member in a (..., 4, k) stack,
+    and its gradient.
 
     Member i is a factor X_i of its unnormalized two-qubit reduction
     rho_i = X_i X_i^dagger with p = tr rho_i.  The term f = p E(c) with
     c = C/p has the Wirtinger gradient E(c) X + E'(c) (dC/d conj(X) - c X),
     which is zero wherever C clips to 0.  Members with p <= 1e-15 are given
-    c = 0, hence zero value and gradient.  The values have the leading
-    shape of the stack.
+    c = 0, hence zero value and gradient.  The terms have the leading shape
+    of the stack, one per member; `member_sums` adds them up.
     """
     conc, dconc = concurrence_factors(x, gradient=True)
     p = np.einsum("...ij,...ij->...", x.conj(), x).real
@@ -338,20 +346,20 @@ def wootters_value_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c = np.where(live, conc / np.where(live, p, 1.0), 0.0)
     e, de = _eof_from_concurrence(c)
     grad = e[..., None, None] * x + de[..., None, None] * (dconc - c[..., None, None] * x)
-    return _member_sums(p * e, x.shape[:-3]), grad
+    return p * e, grad
 
 
-def cut_member_cost(dims: Sequence[int], cuts: Sequence,
-                    value_grad=entropy_value_grad) -> MemberCost:
-    """Member cost: the sum over the cuts of `value_grad` applied to each
-    member reshaped across the cut.
+def cut_member_cost(dims: Sequence[int], cuts: Sequence, kernel=entropy_terms) -> MemberCost:
+    """Member cost: the sum over the cuts of `kernel`'s terms for each member
+    reshaped across the cut.
 
     The cuts must split `dims` into blocks of one shape, so that the members
-    reshaped across every cut go to `value_grad` as one
-    (..., len(cuts) m, d_left, d_right) stack.  The returned cost maps the
-    raw (B, D, m) member columns sqrt(p_i) psi_i of B searches, in the
-    native subsystem order of `dims`, to (values (B,), dF/d conj(raw)); it
-    takes any leading shape in place of B.
+    reshaped across every cut go to `kernel` as one
+    (..., m len(cuts), d_left, d_right) stack, member-major; a search's
+    terms are added in that flat order (`member_sums`).  The returned cost
+    maps the raw (B, D, m) member columns sqrt(p_i) psi_i of B searches, in
+    the native subsystem order of `dims`, to (values (B,), dF/d conj(raw));
+    it takes any leading shape in place of B.
     """
     splits = [cut_permutation(dims, cut) for cut in cuts]
     shapes = {split[1:] for split in splits}
@@ -367,9 +375,9 @@ def cut_member_cost(dims: Sequence[int], cuts: Sequence,
     def cost(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         *lead, _, m = raw.shape
         members = np.swapaxes(raw, -1, -2)[..., perms]          # (..., m, k, D)
-        value, g = value_grad(members.reshape(*lead, m * k, d_left, d_right))
+        terms, g = kernel(members.reshape(*lead, m * k, d_left, d_right))
         g = g.reshape(*lead, m, k * size)[..., back].sum(axis=-2)
-        return value, np.swapaxes(g, -1, -2)
+        return member_sums(terms, tuple(lead)), np.swapaxes(g, -1, -2)
 
     return cost
 
@@ -459,20 +467,21 @@ class _DecompositionObjective:
 
     A parameter vector x = _pack(Y) holds an m x rank complex Y, with m read
     from its length; a call takes a (B, 2 m rank) stack of them (any leading
-    shape serves) and returns the B values and the B gradients.  Its polar
-    factor V = Y S^{-1/2}, S = Y^dagger Y, is the isometry; every m x rank
-    isometry is the polar factor of itself.  The member columns are
-    raw = basis V^T (column i is sqrt(p_i) psi_i), and the member cost
-    returns the values with the Wirtinger derivative G_raw = dF/d conj(raw),
-    which is chained back through raw -> V -> Y -> x.  Every step acts on
-    each point of the stack alone, so a point gets the same bits in any stack.
+    shape serves), and the part of each, and returns the B values and the B
+    gradients.  Its polar factor V = Y S^{-1/2}, S = Y^dagger Y, is the
+    isometry; every m x rank isometry is the polar factor of itself.  The
+    member columns are raw = basis V^T (column i is sqrt(p_i) psi_i), and
+    the part cost returns the values with the Wirtinger derivative
+    G_raw = dF/d conj(raw), which is chained back through raw -> V -> Y -> x.
+    Every step acts on each point of the stack alone, so a point gets the
+    same bits in any stack.
     """
 
-    def __init__(self, rho: DensityMatrix, cut, member_cost: MemberCost | None = None):
+    def __init__(self, rho: DensityMatrix, cost: PartCost):
         lam, vecs = support_decomposition(rho)
         self.rank = int(lam.size)
         self.basis = vecs * np.sqrt(lam)
-        self.cost = member_cost if member_cost is not None else cut_member_cost(rho.dims, [cut])
+        self.cost = cost
 
     def _polar(self, x: np.ndarray):
         """Y, S^{-1/2} and (sqrt(s), W) from S = Y^dagger Y = W diag(s) W^dagger."""
@@ -487,10 +496,11 @@ class _DecompositionObjective:
         y, inv_root, _, _ = self._polar(x)
         return y @ inv_root
 
-    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Objective values and their gradients at a stack of parameter vectors."""
+    def __call__(self, x: np.ndarray, parts=0) -> tuple[np.ndarray, np.ndarray]:
+        """Objective values and their gradients at a stack of parameter vectors
+        of the given parts."""
         y, inv_root, root, w = self._polar(x)
-        values, g_raw = self.cost(self.basis @ np.swapaxes(y @ inv_root, -1, -2))
+        values, g_raw = self.cost(self.basis @ np.swapaxes(y @ inv_root, -1, -2), parts)
         g_v = np.swapaxes(self.basis.conj().T @ g_raw, -1, -2)
         # divided differences of s^{-1/2}, written without a difference
         # quotient, so equal or nearly equal s stay exact
@@ -538,11 +548,13 @@ class _LbfgsbRun:
     `advance` runs `_minimize_lbfgsb`'s loop until setulb asks for f and g
     at a point it has not been given, and `evaluated` hands them over.  As
     scipy's ScalarFunction does, a request for the point last evaluated
-    reuses its f and g and is not counted in nfev.
+    reuses its f and g and is not counted in nfev.  `part` is the part
+    whose cost values the run's points (`minimize_parts`).
     """
 
-    def __init__(self, x0: np.ndarray):
+    def __init__(self, x0: np.ndarray, part: int):
         n = x0.size
+        self.part = part
         self.x = np.array(x0, dtype=np.float64)
         self.f = 0.0
         self.g = np.zeros(n)
@@ -590,19 +602,21 @@ class _LbfgsbRun:
         return f"{status_messages[state]}: {task_messages[reason]}"
 
 
-def _lockstep_lbfgsb(objective: _DecompositionObjective, starts: Sequence[np.ndarray],
+def _lockstep_lbfgsb(objective: _DecompositionObjective,
+                     starts: Sequence[tuple[int, np.ndarray]],
                      opts: EofOptions) -> list[_LbfgsbRun]:
-    """scipy's L-BFGS-B from every start, all run in lockstep rounds.
+    """scipy's L-BFGS-B from every (part, start), all run in lockstep rounds.
 
     A round advances each live run until it asks for f and g, then
     evaluates the pending points that share a member count m (the length
-    of their parameter vectors) in one stacked objective call.  Each run
-    sees exactly the f and g that a scipy.optimize.minimize call of its own
-    would see, so it takes the same steps.
+    of their parameter vectors), whatever their parts, in one stacked
+    objective call.  Each run sees exactly the f and g that a
+    scipy.optimize.minimize call of its own would see, so it takes the
+    same steps.
     """
     setulb = scipy.optimize._lbfgsb.setulb          # scipy.optimize loads here
     factr = opts.convergence_tol / np.finfo(float).eps
-    runs = [_LbfgsbRun(x0) for x0 in starts]
+    runs = [_LbfgsbRun(x0, part) for part, x0 in starts]
     live = runs
     while live:
         live = [run for run in live if run.advance(setulb, factr, opts.max_iterations)]
@@ -611,7 +625,7 @@ def _lockstep_lbfgsb(objective: _DecompositionObjective, starts: Sequence[np.nda
             groups.setdefault(run.x.size, []).append(run)
         for group in groups.values():
             xs = np.stack([run.x for run in group])
-            values, grads = objective(xs)
+            values, grads = objective(xs, np.array([run.part for run in group]))
             for run, x, f, g in zip(group, xs, values.tolist(), grads):
                 run.evaluated(x, f, g)
     return runs
@@ -630,6 +644,13 @@ def _search_starts(rho: DensityMatrix, rank: int, opts: EofOptions,
     return starts
 
 
+def _one_part(dims: Sequence[int], cut, member_cost: MemberCost | None) -> PartCost:
+    """The part cost of a single search: member_cost, or entanglement entropy
+    across `cut` if None, for every point."""
+    cost = member_cost if member_cost is not None else cut_member_cost(dims, [tuple(cut)])
+    return lambda raw, parts: cost(raw)
+
+
 def minimize_over_decompositions(
     rho: DensityMatrix,
     cut,
@@ -640,14 +661,14 @@ def minimize_over_decompositions(
     """Minimize sum_i p_i cost(psi_i) over decompositions of rho.
 
     member_cost None means the default cost, entanglement entropy across
-    `cut` (`cut_member_cost(rho.dims, cut)`).  A custom member_cost receives
-    the raw (B, D, m) member columns v_i = sqrt(p_i) psi_i of B restarts at
-    once, in the state's native subsystem order, and returns each restart's
-    value sum_i p_i c(psi_i), shape (B,), with its Wirtinger gradient
-    dF/d conj(v), shape (B, D, m); `cut_member_cost` builds such costs from
-    `entropy_value_grad` and `wootters_value_grad`.  The gradient is chained
-    through the polar factor to the parameters, so one stacked objective
-    call calls the member cost once.
+    `cut` (`cut_member_cost(rho.dims, [cut])`).  A custom member_cost
+    receives the raw (B, D, m) member columns v_i = sqrt(p_i) psi_i of B
+    restarts at once, in the state's native subsystem order, and returns
+    each restart's value sum_i p_i c(psi_i), shape (B,), with its Wirtinger
+    gradient dF/d conj(v), shape (B, D, m); `cut_member_cost` builds such
+    costs from `entropy_terms` and `wootters_terms`.  The gradient is
+    chained through the polar factor to the parameters, so one stacked
+    objective call calls the member cost once.
 
     Each start runs at its own member count m, read from its parameter
     vector: the eigen start at rank, a warm start at its member count, and
@@ -655,12 +676,41 @@ def minimize_over_decompositions(
     warm starts' sizes).  Zero rows added to a start would get a zero
     gradient and never move, so leaving them out keeps every restart the
     same search.  All restarts run in lockstep (`_lockstep_lbfgsb`), each
-    on scipy's L-BFGS-B steps.
+    on scipy's L-BFGS-B steps.  This is `minimize_parts` with one part.
+    """
+    [estimate] = minimize_parts(rho, _one_part(rho.dims, cut, member_cost), 1, opts,
+                                warm_starts)
+    return estimate
+
+
+def minimize_parts(rho: DensityMatrix, cost: PartCost, parts: int,
+                   opts: EofOptions | None = None,
+                   warm_starts: Sequence[Ensemble] = ()) -> list[EofEstimate]:
+    """One search over decompositions of rho for each of `parts` member
+    costs, all run in one lockstep.
+
+    `cost` values each point under the cost of its part, 0 to parts - 1
+    (see `PartCost`).  Every part runs the starts a search of its own would
+    run (`minimize_over_decompositions`), and the restarts of all parts
+    share the lockstep rounds: a round makes one objective call per member
+    count, so one call of `cost` serves the pending points of every part.
+    A point's value and gradient do not depend on the points beside it, so
+    part k's estimate is, bit for bit, that of
+    `minimize_over_decompositions` with part k's cost alone.
     """
     opts = opts if opts is not None else EofOptions()
-    obj = _DecompositionObjective(rho, tuple(cut), member_cost)
+    obj = _DecompositionObjective(rho, cost)
     starts = _search_starts(rho, obj.rank, opts, warm_starts)
-    runs = _lockstep_lbfgsb(obj, [x0 for _, x0 in starts], opts)
+    runs = _lockstep_lbfgsb(obj, [(part, x0) for part in range(parts) for _, x0 in starts],
+                            opts)
+    n = len(starts)
+    return [_estimate(rho, obj, starts, runs[k * n:(k + 1) * n]) for k in range(parts)]
+
+
+def _estimate(rho: DensityMatrix, obj: _DecompositionObjective,
+              starts: Sequence[tuple[str, np.ndarray]],
+              runs: Sequence[_LbfgsbRun]) -> EofEstimate:
+    """A search's estimate from its restarts' runs, in start order."""
     records = tuple(RestartRun(kind, x0.size // (2 * obj.rank), run.nit, run.nfev,
                                run.stop_reason())
                     for (kind, x0), run in zip(starts, runs))

@@ -17,7 +17,9 @@ trials run one by one, and re-evaluating an argmin member alone gives the
 same bits.  Runs longer than a chunk (STACK_BUDGET) are stacked chunk by
 chunk, so memory does not grow with the trial count.  `relation_chain_check`,
 a consistency check of the decomposition search built on custom member
-costs, lives here too.
+costs, lives here too: its four searches run as one lockstep
+(`minimize_parts`), whose objective calls make one Wootters-kernel call and
+one entropy-kernel call for the points of all four.
 """
 
 from __future__ import annotations
@@ -40,13 +42,14 @@ from .ensembles import (
 from .eof import (
     EofOptions,
     MemberCost,
-    cut_member_cost,
-    entropy_value_grad,
+    PartCost,
+    entropy_terms,
     eof_stack,
     eof_wootters_2q,
-    minimize_over_decompositions,
+    member_sums,
+    minimize_parts,
     wootters_decomposition,
-    wootters_value_grad,
+    wootters_terms,
 )
 from .qmat import ShapeError, as_cmatrix, canonical_eig
 from .qstate import (
@@ -54,6 +57,7 @@ from .qstate import (
     PureState,
     check_state_vectors,
     complex_to_pairs,
+    cut_permutation,
     density_spectra,
     pairs_to_complex,
     payload_to_state,
@@ -544,27 +548,75 @@ def reevaluate_argmin(payload: dict, opts: EofOptions | None = None) -> float:
 # ---------------------------------------------------------------------------
 # four-way consistency chain for products of two-qubit states
 
-def _chain_cost(left_eof: bool, right_eof: bool) -> MemberCost:
-    """S_A or E_f(AB), plus S_A' or E_f(A'B'), of members on parties (A, B, A', B').
+# the chain's parts, in report order: (label, whether the left side is
+# E_f(AB) rather than S_A, whether the right side is E_f(A'B') rather than S_A')
+_CHAIN_PARTS = (("entropy+entropy", False, False), ("entropy+eof", False, True),
+                ("eof+entropy", True, False), ("eof+eof", True, True))
 
-    The cuts that share a kernel are evaluated in one stacked call.
+
+def _chain_part_cost() -> PartCost:
+    """The four chain parts' member costs on parties (A, B, A', B') as one part cost.
+
+    Part k of `_CHAIN_PARTS` costs a member S_A or E_f(AB) on its left side
+    and S_A' or E_f(A'B') on its right.  A call makes one Wootters-kernel
+    call and one entropy-kernel call, each on only the (point, side) pairs
+    whose part reads it, and each point adds its terms as a search of its
+    part alone would (`cut_member_cost`): a part whose two sides read one
+    kernel in flat (member, side) order, a part whose sides read the two
+    kernels as the sum of the two sides' sums.
     """
     dims = (2, 2, 2, 2)
-    eof_cuts = [cut for cut, eof in (((0, 1), left_eof), ((2, 3), right_eof)) if eof]
-    entropy_cuts = [cut for cut, eof in (((0,), left_eof), ((2,), right_eof)) if not eof]
-    costs = [cut_member_cost(dims, cuts, kernel)
-             for cuts, kernel in ((eof_cuts, wootters_value_grad),
-                                  (entropy_cuts, entropy_value_grad)) if cuts]
-    if len(costs) == 1:
-        return costs[0]
-    eof_cost, entropy_cost = costs
+    eof = np.array([[left, right] for _, left, right in _CHAIN_PARTS])      # (part, side)
+    kernels = []
+    for kernel, cuts, reads in ((wootters_terms, ((0, 1), (2, 3)), eof),
+                                (entropy_terms, ((0,), (2,)), ~eof)):
+        splits = [cut_permutation(dims, cut) for cut in cuts]
+        perms = np.array([split[0] for split in splits])                   # (side, D)
+        kernels.append((kernel, reads, perms, np.argsort(perms, axis=1), splits[0][1:]))
 
-    def cost(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        eof_value, eof_grad = eof_cost(raw)
-        entropy_value, entropy_grad = entropy_cost(raw)
-        return eof_value + entropy_value, eof_grad + entropy_grad
+    def cost(raw: np.ndarray, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        *lead, size, m = raw.shape
+        members = np.swapaxes(raw.reshape(-1, size, m), -1, -2)            # (n, m, D)
+        parts = np.reshape(parts, -1)
+        n, rows = len(parts), np.arange(m)[:, None]
+        grad = np.empty((n, 2, m, size), dtype=complex)
+        sums = []                   # per kernel: each point's sum over both sides, and per side
+        for kernel, reads, perms, back, shape in kernels:
+            point, side = np.nonzero(reads[parts])
+            if not point.size:
+                sums.append((np.zeros(n), np.zeros((n, 2))))
+                continue
+            x = members[point[:, None, None], rows, perms[side][:, None]]
+            t, g = kernel(x.reshape(-1, m, *shape))
+            terms = np.zeros((n, 2, *t.shape[1:]))
+            terms[point, side] = t
+            g = g.reshape(-1, m, size)
+            grad[point, side] = g[np.arange(len(point))[:, None, None], rows, back[side][:, None]]
+            sums.append((member_sums(np.swapaxes(terms, 1, 2), (n,)), member_sums(terms, (n, 2))))
+        (eof_both, eof_each), (entropy_both, entropy_each) = sums
+        left, right = eof[parts].T
+        one_kernel = np.where(left, eof_both, entropy_both)
+        at, e = np.arange(n), right.astype(int)             # the E_f side, where they differ
+        two_kernels = eof_each[at, e] + entropy_each[at, 1 - e]
+        values = np.where(left == right, one_kernel, two_kernels)
+        g = np.swapaxes(grad.sum(axis=1), -1, -2)
+        return values.reshape(lead), g.reshape(*lead, size, m)
 
     return cost
+
+
+_CHAIN_COST = _chain_part_cost()
+
+
+def _chain_cost(left_eof: bool, right_eof: bool) -> MemberCost:
+    """S_A or E_f(AB), plus S_A' or E_f(A'B'), of members on parties
+    (A, B, A', B'): one part of the chain's four-part cost."""
+    part = [(left, right) for _, left, right in _CHAIN_PARTS].index((left_eof, right_eof))
+    return lambda raw: _CHAIN_COST(raw, np.full(raw.shape[:-2], part))
+
+
+# the relation chain's own search options, used where it is given none
+RELATION_CHAIN_SEARCH = EofOptions(restarts=4, seed=6)
 
 
 def relation_chain_check(rho_a: DensityMatrix, rho_b: DensityMatrix,
@@ -582,29 +634,24 @@ def relation_chain_check(rho_a: DensityMatrix, rho_b: DensityMatrix,
     minima equal E_f(rho_a) + E_f(rho_b).  Every search is warm-started from
     that product, built from the factors' closed-form decompositions
     (`wootters_decomposition`).  Agreement within slack is a sharp
-    end-to-end consistency test of the decomposition search.
+    end-to-end consistency test of the decomposition search.  The four
+    searches run in one lockstep (`minimize_parts` on the four-part cost),
+    and each gives, bit for bit, what a search of its own cost would.
     """
     if rho_a.dims != (2, 2) or rho_b.dims != (2, 2):
         raise ShapeError("chain check needs two-qubit factors")
     require_tolerance("slack", slack)
     if opts is None:
-        opts = EofOptions(restarts=4, seed=6)
+        opts = RELATION_CHAIN_SEARCH
     ef_a = eof_wootters_2q(rho_a)
     ef_b = eof_wootters_2q(rho_b)
     reference = ef_a + ef_b
     warm = [product_ensemble(wootters_decomposition(rho_a), wootters_decomposition(rho_b))]
-    tau = tensor(rho_a, rho_b)
+    estimates = minimize_parts(tensor(rho_a, rho_b), _CHAIN_COST, len(_CHAIN_PARTS), opts,
+                               warm)
     parts = []
     worst = 0.0
-    for label, left_eof, right_eof in (
-        ("entropy+entropy", False, False),
-        ("entropy+eof", False, True),
-        ("eof+entropy", True, False),
-        ("eof+eof", True, True),
-    ):
-        est = minimize_over_decompositions(tau, (0, 2), opts,
-                                           member_cost=_chain_cost(left_eof, right_eof),
-                                           warm_starts=warm)
+    for (label, _, _), est in zip(_CHAIN_PARTS, estimates):
         resid = est.value - reference
         worst = max(worst, abs(resid))
         parts.append({"part": label, "value": float(est.value),

@@ -224,6 +224,28 @@ class TestVerify:
             main(["verify", "does-not-exist"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("check", [("relation-chain",), ("weak-additivity", "--pairs", "2")],
+                             ids=lambda check: check[0])
+    def test_seed_seeds_the_check_not_its_search(self, capsys, check):
+        # 0 is the check's default seed, so naming it changes nothing: the
+        # check keeps its own search options rather than EofOptions()'s
+        bare = run(capsys, "verify", *check)
+        assert run(capsys, "verify", *check, "--seed", "0") == bare
+
+    def test_search_flag_changes_only_its_own_field(self, capsys):
+        from eoflab.checks import WEAK_ADDITIVITY_SEARCH, check_weak_additivity
+        from eoflab.probes import RELATION_CHAIN_SEARCH
+
+        code, out, _ = run_json(capsys, "verify", "relation-chain", "--restarts", "2")
+        assert code == 0
+        assert out["seed"] == RELATION_CHAIN_SEARCH.seed == 6
+
+        code, out, _ = run(capsys, "verify", "weak-additivity", "--pairs", "2",
+                           "--seed", "3", "--restarts", "2")
+        want = check_weak_additivity(pairs=2, seed=3, opts=eoflab.EofOptions(
+            restarts=2, seed=WEAK_ADDITIVITY_SEARCH.seed))
+        assert json.loads(out) == want.to_dict()
+
 
 @pytest.mark.parametrize("argv", [
     ("verify", "ssa", "--samples", "0"),

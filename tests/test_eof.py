@@ -468,6 +468,13 @@ class TestGenericObjective:
         assert generic.value == pytest.approx(default.value, abs=1e-6)
 
 
+def _objective(rho, cut, member_cost=None):
+    """The objective minimize_over_decompositions(rho, cut, member_cost=...) runs."""
+    from eoflab.eof import _DecompositionObjective, _one_part
+
+    return _DecompositionObjective(rho, _one_part(rho.dims, cut, member_cost))
+
+
 def _scipy_restart(obj, x0, opts):
     """One restart as its own scipy.optimize.minimize call on a stack of one
     point, the way the search ran before its restarts ran in lockstep; the
@@ -510,29 +517,23 @@ class TestObjectiveGradient:
     @pytest.mark.parametrize("dims, rank, m", [
         ((2, 2), 2, 8), ((2, 2), 3, 8), ((2, 3), 3, 9), ((2, 2), 1, 1)])
     def test_entropy_gradient_matches_differences(self, dims, rank, m):
-        from eoflab.eof import _DecompositionObjective
-
         rho = random_density_dims(dims, rank, [50, rank, m])
-        obj = _DecompositionObjective(rho, (0,))
+        obj = _objective(rho, (0,))
         for x in _gradient_points(m, obj.rank, 51):
             value, grad = obj(x)
             assert grad.shape == x.shape
             np.testing.assert_allclose(grad, _difference_gradient(obj, x), rtol=0, atol=1e-6)
 
     def test_entropy_gradient_on_product_pair_cut(self):
-        from eoflab.eof import _DecompositionObjective
-
         rho = tensor(two_qubit(52, rank=2), two_qubit(53, rank=2))
-        obj = _DecompositionObjective(rho, (0, 2))
+        obj = _objective(rho, (0, 2))
         for x in _gradient_points(16, obj.rank, 54):
             np.testing.assert_allclose(obj(x)[1], _difference_gradient(obj, x),
                                        rtol=0, atol=1e-6)
 
     def test_value_is_ensemble_average(self):
-        from eoflab.eof import _DecompositionObjective
-
         rho = two_qubit(55, rank=3)
-        obj = _DecompositionObjective(rho, (0,))
+        obj = _objective(rho, (0,))
         x = np.random.default_rng(56).standard_normal(2 * 6 * obj.rank)
         e = hjw_ensemble(rho, obj.isometry(x))
         assert obj(x)[0] == pytest.approx(ensemble_average_entanglement(e, [0]), abs=1e-12)
@@ -541,17 +542,16 @@ class TestObjectiveGradient:
         (False, False), (False, True), (True, False), (True, True)],
         ids=["entropy+entropy", "entropy+eof", "eof+entropy", "eof+eof"])
     def test_custom_cost_gradient_matches_differences(self, left_eof, right_eof):
-        from eoflab.eof import _DecompositionObjective
         from eoflab.probes import _chain_cost
 
         rho = tensor(two_qubit(57, rank=2), two_qubit(58, rank=2))
-        obj = _DecompositionObjective(rho, (0, 2), _chain_cost(left_eof, right_eof))
+        obj = _objective(rho, (0, 2), _chain_cost(left_eof, right_eof))
         for x in _gradient_points(16, obj.rank, 59):
             np.testing.assert_allclose(obj(x)[1], _difference_gradient(obj, x),
                                        rtol=0, atol=1e-6)
 
     def test_eof_cost_at_concurrence_limits(self):
-        from eoflab.eof import wootters_value_grad
+        from eoflab.eof import wootters_terms
         from eoflab.probes import _chain_cost
 
         bell = BELL.vec
@@ -570,13 +570,12 @@ class TestObjectiveGradient:
 
         # the maximally mixed pair clips C = s1 - 3 s1 to exactly 0
         x = np.stack([np.eye(4) / 2, bell.reshape(4, 1) @ np.ones((1, 4)) / 2])
-        value, grad = wootters_value_grad(x)
-        assert value == pytest.approx(1.0, abs=1e-12)
+        terms, grad = wootters_terms(x)
+        np.testing.assert_allclose(terms, [0.0, 1.0], rtol=0, atol=1e-12)
         np.testing.assert_array_equal(grad[0], 0.0)
         np.testing.assert_allclose(grad[1], x[1], rtol=0, atol=1e-12)
 
     def test_member_cost_called_once_per_call(self):
-        from eoflab.eof import _DecompositionObjective
         from eoflab.probes import _chain_cost
 
         rho = tensor(two_qubit(60, rank=2), two_qubit(61, rank=2))
@@ -588,7 +587,7 @@ class TestObjectiveGradient:
             return cost(raw)
 
         m = 16
-        obj = _DecompositionObjective(rho, (0, 2), counting_cost)
+        obj = _objective(rho, (0, 2), counting_cost)
         obj(np.random.default_rng(62).standard_normal((3, 2 * m * obj.rank)))
         assert passed == [(3, 16, m)]
 
@@ -605,7 +604,7 @@ def _member_cost(chain):
 
 
 def _svd_entropy_value_grad(x):
-    """The SVD form of `entropy_value_grad`: -tr M log2(M/p) with gradient
+    """The SVD form of `entropy_terms`, summed: -tr M log2(M/p) with gradient
     -left diag(s log2 mu) right from X = left diag(s) right."""
     from eoflab.qstate import EIG_FLOOR
 
@@ -629,11 +628,11 @@ class TestLiveMembers:
            zero_rows=st.lists(st.integers(0, 12), min_size=1, max_size=8),
            seed=st.integers(0, 2**32 - 1))
     def test_zero_rows_have_zero_gradient(self, chain, ranks, zero_rows, seed):
-        from eoflab.eof import _DecompositionObjective, _pack
+        from eoflab.eof import _pack
 
         rho = tensor(two_qubit([76, seed, 0], rank=ranks[0]),
                      two_qubit([76, seed, 1], rank=ranks[1]))
-        obj = _DecompositionObjective(rho, (0, 2), _member_cost(chain))
+        obj = _objective(rho, (0, 2), _member_cost(chain))
         m = obj.rank + len(zero_rows)
         rng = np.random.default_rng([77, seed])
         y = rng.standard_normal((m, obj.rank)) + 1j * rng.standard_normal((m, obj.rank))
@@ -644,13 +643,13 @@ class TestLiveMembers:
 
     @pytest.mark.parametrize("chain", CHAIN_COSTS, ids=CHAIN_IDS)
     def test_eigen_start_without_zero_rows_takes_the_same_steps(self, chain):
-        from eoflab.eof import _DecompositionObjective, _pack, minimize_over_decompositions
+        from eoflab.eof import _pack, minimize_over_decompositions
 
         rho = tensor(two_qubit(78, rank=2), two_qubit(79, rank=2))
         opts = EofOptions(restarts=1)
         est = minimize_over_decompositions(rho, (0, 2), opts, _member_cost(chain))
 
-        obj = _DecompositionObjective(rho, (0, 2), _member_cost(chain))
+        obj = _objective(rho, (0, 2), _member_cost(chain))
         padded = _scipy_restart(obj, _pack(np.eye(16, obj.rank)), opts)
         [live] = est.restart_runs
         assert live.members == obj.rank
@@ -662,13 +661,13 @@ class TestLiveMembers:
         ([(0, 1), (2, 3)], "entropy"), ([(1,), (3,), (0,)], "entropy")],
         ids=["entropy-singles", "wootters-pairs", "entropy-pairs", "entropy-three-cuts"])
     def test_multi_cut_cost_is_the_sum_of_single_cut_costs(self, cuts, kernel):
-        from eoflab.eof import cut_member_cost, entropy_value_grad, wootters_value_grad
+        from eoflab.eof import cut_member_cost, entropy_terms, wootters_terms
 
-        value_grad = entropy_value_grad if kernel == "entropy" else wootters_value_grad
+        terms = entropy_terms if kernel == "entropy" else wootters_terms
         dims = (2, 2, 2, 2)
         raw = np.random.default_rng(80).standard_normal((16, 9, 2)) @ [1.0, 1j]
-        value, grad = cut_member_cost(dims, cuts, value_grad)(raw)
-        singles = [cut_member_cost(dims, [cut], value_grad)(raw) for cut in cuts]
+        value, grad = cut_member_cost(dims, cuts, terms)(raw)
+        singles = [cut_member_cost(dims, [cut], terms)(raw) for cut in cuts]
         assert value == pytest.approx(sum(v for v, _ in singles), abs=1e-12)
         np.testing.assert_allclose(grad, sum(g for _, g in singles), rtol=0, atol=1e-12)
 
@@ -680,7 +679,7 @@ class TestLiveMembers:
 
     @pytest.mark.parametrize("shape", [(2, 8), (8, 2), (4, 4), (3, 5), (2, 2)])
     def test_gram_entropy_matches_svd_form(self, shape):
-        from eoflab.eof import entropy_value_grad
+        from eoflab.eof import entropy_terms, member_sums
 
         d = min(shape)
         rng = np.random.default_rng([81, *shape])
@@ -697,7 +696,8 @@ class TestLiveMembers:
         members.append(np.outer(random_unitary(shape[0], 84)[:, 0],
                                 random_unitary(shape[1], 85)[0]))    # a product member
         x = np.stack(members)
-        value, grad = entropy_value_grad(x)
+        terms, grad = entropy_terms(x)
+        value = member_sums(terms, ())
         want_value, want_grad = _svd_entropy_value_grad(x)
         assert value == pytest.approx(want_value, abs=1e-12)
         np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-7)
@@ -707,10 +707,10 @@ def _assert_restarts_match_scipy(rho, cut, opts, chain=None, warm_starts=()):
     """Every restart of a lockstep search takes the steps of its own
     scipy.optimize.minimize call: equal (nit, nfev, success) and stop
     message, and its value bit for bit."""
-    from eoflab.eof import _DecompositionObjective, _search_starts, minimize_over_decompositions
+    from eoflab.eof import _search_starts, minimize_over_decompositions
 
     est = minimize_over_decompositions(rho, cut, opts, _member_cost(chain), warm_starts)
-    obj = _DecompositionObjective(rho, tuple(cut), _member_cost(chain))
+    obj = _objective(rho, cut, _member_cost(chain))
     starts = _search_starts(rho, obj.rank, opts, warm_starts)
     assert len(est.restart_runs) == len(est.restart_values) == len(starts) == est.restarts_used
     best = None
@@ -777,10 +777,8 @@ class TestObjectivePolar:
     @pytest.mark.parametrize("dims, rank, m", [
         ((2, 2), 2, 8), ((2, 3), 3, 9), ((2, 2, 2, 2), 4, 16)])
     def test_isometry_is_polar_factor(self, dims, rank, m):
-        from eoflab.eof import _DecompositionObjective
-
         rho = random_density_dims(dims, rank, [70, m])
-        obj = _DecompositionObjective(rho, (0,))
+        obj = _objective(rho, (0,))
         for x in _gradient_points(m, rank, 71):
             v = obj.isometry(x)
             re, im = x.reshape(2, m, rank)
@@ -789,11 +787,11 @@ class TestObjectivePolar:
             np.testing.assert_allclose(v.conj().T @ v, np.eye(rank), rtol=0, atol=1e-12)
 
     def test_warm_start_round_trip(self):
-        from eoflab.eof import _DecompositionObjective, _params_for_ensemble
+        from eoflab.eof import _params_for_ensemble
 
         rho = two_qubit(72)
         e = hjw_ensemble(rho, random_isometry(6, 4, 73))
-        obj = _DecompositionObjective(rho, (0,))
+        obj = _objective(rho, (0,))
         x = _params_for_ensemble(rho, e)
         back = hjw_ensemble(rho, obj.isometry(x))
         assert len(back) == len(e)
@@ -806,10 +804,8 @@ class TestObjectivePolar:
     @given(dims=st.sampled_from([(2, 2), (2, 3)]), rank=st.integers(1, 4),
            extra=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
     def test_chart_mixes_back_and_values_its_ensemble(self, dims, rank, extra, seed):
-        from eoflab.eof import _DecompositionObjective
-
         rho = random_density_dims(dims, rank, [74, seed])
-        obj = _DecompositionObjective(rho, (0,))
+        obj = _objective(rho, (0,))
         m = rank + extra
         x = np.random.default_rng([75, seed]).standard_normal(2 * m * rank)
         e = hjw_ensemble(rho, obj.isometry(x))

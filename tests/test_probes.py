@@ -718,7 +718,88 @@ CHAIN_PAIRS = pytest.mark.parametrize("pair", [
     ids=["werner", "random-rank-2"])
 
 
+def _assert_chain_matches_separate_searches(pair, opts):
+    """The chain's four parts, run as one lockstep, give each part's own
+    search bit for bit: every restart's value, (nit, nfev) and stop reason,
+    and the check's report."""
+    from unittest import mock
+
+    from eoflab import probes
+    from eoflab.eof import minimize_parts
+    from eoflab.probes import _CHAIN_COST, _CHAIN_PARTS, _chain_cost
+
+    tau = tensor(*pair)
+    warm = [product_ensemble(*(wootters_decomposition(rho) for rho in pair))]
+    merged = minimize_parts(tau, _CHAIN_COST, len(_CHAIN_PARTS), opts, warm)
+    alone = [minimize_over_decompositions(tau, (0, 2), opts, member_cost=_chain_cost(l, r),
+                                          warm_starts=warm)
+             for _, l, r in _CHAIN_PARTS]
+    for est, ref in zip(merged, alone):
+        assert [v.hex() for v in est.restart_values] == [v.hex() for v in ref.restart_values]
+        assert est.restart_runs == ref.restart_runs
+        assert (est.value.hex(), est.iterations, est.converged) == (
+            ref.value.hex(), ref.iterations, ref.converged)
+    report = relation_chain_check(*pair, opts=opts).to_json()
+    with mock.patch.object(probes, "minimize_parts", lambda *args: alone):
+        assert relation_chain_check(*pair, opts=opts).to_json() == report
+
+
+def _summed_chain_cost(left_eof, right_eof):
+    """A chain part's cost as one `cut_member_cost` per kernel, added."""
+    from eoflab.eof import cut_member_cost, entropy_terms, wootters_terms
+
+    dims = (2, 2, 2, 2)
+    eof_cuts = [cut for cut, eof in (((0, 1), left_eof), ((2, 3), right_eof)) if eof]
+    entropy_cuts = [cut for cut, eof in (((0,), left_eof), ((2,), right_eof)) if not eof]
+    costs = [cut_member_cost(dims, cuts, kernel)
+             for cuts, kernel in ((eof_cuts, wootters_terms), (entropy_cuts, entropy_terms))
+             if cuts]
+
+    def cost(raw):
+        (value, grad), *rest = (c(raw) for c in costs)
+        for v, g in rest:
+            value, grad = value + v, grad + g
+        return value, grad
+
+    return cost
+
+
 class TestRelationChain:
+    @pytest.mark.parametrize("left_eof, right_eof", [
+        (False, False), (False, True), (True, False), (True, True)],
+        ids=["entropy+entropy", "entropy+eof", "eof+entropy", "eof+eof"])
+    def test_part_cost_adds_terms_as_cut_member_cost_does(self, left_eof, right_eof):
+        # a part's two sides are added in flat (member, side) order where they
+        # read one kernel, else as the sum of the two kernels' sums
+        from eoflab.probes import _chain_cost
+
+        rng = np.random.default_rng(87)
+        product = np.kron(np.kron([1, 0], [0.6, 0.8]), np.kron([0.8, 0.6j], [1, 0]))
+        for m in (1, 4, 9, 16):
+            raw = rng.standard_normal((3, 16, m, 2)) @ [1.0, 1j]
+            raw[1, :, 0] = 0.5 * product            # S = E_f = 0 on both sides
+            raw[2, :, -1] = 0.0                      # a member of weight 0
+            got = _chain_cost(left_eof, right_eof)(raw)
+            want = _summed_chain_cost(left_eof, right_eof)(raw)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @CHAIN_PAIRS
+    @pytest.mark.parametrize("max_iterations", [1, EofOptions().max_iterations])
+    def test_lockstep_parts_match_their_own_searches(self, pair, max_iterations):
+        _assert_chain_matches_separate_searches(
+            pair, EofOptions(restarts=4, seed=6, max_iterations=max_iterations))
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ranks=st.tuples(st.integers(2, 4), st.integers(2, 4)),
+           restarts=st.integers(1, 5),
+           max_iterations=st.sampled_from([1, EofOptions().max_iterations]))
+    def test_lockstep_parts_match_their_own_searches_swept(self, seed, ranks, restarts,
+                                                          max_iterations):
+        pair = tuple(random_density_dims((2, 2), rank, [86, seed, k])
+                     for k, rank in enumerate(ranks))
+        _assert_chain_matches_separate_searches(
+            pair, EofOptions(restarts=restarts, seed=seed, max_iterations=max_iterations))
+
     @CHAIN_PAIRS
     def test_parts_are_upper_bounds(self, pair):
         # every part is an ensemble average of exact member costs, so it can
