@@ -47,7 +47,6 @@ from .eof import (
     eof_minimize,
     eof_pure,
     eof_wootters_2q,
-    minimize_over_decompositions,
     wootters_decomposition,
 )
 from .statezoo import (

@@ -67,6 +67,37 @@ def _ensemble_size_arg(text: str):
     return text if text == "auto" else int(text)
 
 
+# every option a table entry reads (see `_tables`), declared once: its flag
+# is --name with "-" for "_"; store_true flags default to None too, so that
+# _run sees whether they were given, and are no --config keys
+_OPTIONS = {
+    "cut": {"type": _dims_arg, "help": "left-block subsystem indices, e.g. 0,2"},
+    "restarts": {"type": int},
+    "seed": {"type": int},
+    "ensemble_size": {"type": _ensemble_size_arg},
+    "max_iterations": {"type": int},
+    "dump_ensemble": {"help": "write the best decomposition found to this ensemble file"},
+    "samples": {"type": int},
+    "dims": {"type": _dims_arg},
+    "tol": {"type": float},
+    "slack": {"type": float},
+    "member_slack": {"type": float},
+    "decomposition_samples": {"type": int},
+    "pairs": {"type": int},
+    "product_weight": {"type": float},
+    "d": {"type": int},
+    "trials": {"type": int},
+    "source": {"choices": ("random", "case1", "werner")},
+    "phi": {"type": float},
+    "members": {"type": int, "help": "question probes: a floor on members per trial"},
+    "rank": {"type": int},
+    "shape": {"type": _dims_arg, "help": "case1 weight-matrix shape, e.g. 2,3"},
+    "uniform": {"action": "store_true", "help": "case1: uniform weights instead of random"},
+    "two_pair": {"action": "store_true", "help": "werner: emit the four-party two-pair view"},
+    "pure": {"action": "store_true", "help": "random: pure instead of mixed"},
+}
+
+
 def _load_config(path: str) -> dict[str, str]:
     """key=value per line; blank lines and # comments ignored."""
     out: dict[str, str] = {}
@@ -109,6 +140,11 @@ _SEARCH = ("restarts", "seed", "ensemble_size", "max_iterations")
 _CHECK_SEARCH = {"case1": CASE1_SEARCH, "case2": CASE2_SEARCH,
                  "weak-additivity": WEAK_ADDITIVITY_SEARCH,
                  "relation-chain": RELATION_CHAIN_SEARCH}
+
+
+def _reads(keywords) -> tuple[str, ...]:
+    """The options a table entry reads: its keywords, with "opts" as _SEARCH."""
+    return tuple(o for k in keywords for o in (_SEARCH if k == "opts" else (k,)))
 
 
 def _eof_options(args: argparse.Namespace, keywords, base: EofOptions | None) -> EofOptions | None:
@@ -159,11 +195,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             print("error: --cut is required for states with more than two "
                   "subsystems", file=sys.stderr)
             return 2
+    args.cut = cut
     kind = "pure" if isinstance(state, PureState) else "density"
-    compute = {
-        "pure": (functools.partial(_eof_of_pure, state, cut), ()),
-        "density": (functools.partial(_eof_of_density, state, cut), ("opts", "dump_ensemble")),
-    }
+    compute = {name: (functools.partial(fn, state), keywords)
+               for name, (fn, keywords) in _tables()[0].items()}
     [result] = _run(compute, (kind,), args, f"'eof compute' on a {kind} state")
     print_payload({"dims": list(state.dims), "cut": list(cut), **result}, args.format or "json")
     return 0
@@ -177,10 +212,11 @@ def _case2_pair(product_weight: float = 0.5, d: int = 3, **kw) -> list[CheckRepo
 
 
 def _relation_chain(seed: int = 0, **kw) -> CheckReport:
-    """relation_chain_check on two rank-2 two-qubit states drawn from the seed."""
+    """relation_chain_check on two rank-2 two-qubit states drawn from the
+    seed, which its report names."""
     rng = np.random.default_rng([seed, 0])
     pair = [random_density_dims((2, 2), 2, rng) for _ in range(2)]
-    return relation_chain_check(*pair, **kw)
+    return dataclasses.replace(relation_chain_check(*pair, **kw), seed=seed)
 
 
 def _zoo_case1(seed: int = 0, shape: tuple[int, ...] = (2, 2), uniform: bool = False):
@@ -205,13 +241,20 @@ def _zoo_random(seed: int = 0, dims: tuple[int, ...] = (2, 2), rank: int = 2,
     return random_pure(dims, [seed, 1]) if pure else random_density_dims(dims, rank, [seed, 1])
 
 
-def _tables() -> tuple[dict, dict, dict]:
-    """verify check, probe relation and zoo family -> (function, the options it reads).
+def _tables() -> tuple[dict, dict, dict, dict]:
+    """compute state kind, verify check, probe relation and zoo family ->
+    (function, the options it reads).
 
     Options pass under their own names; "opts" is the search options as one
-    EofOptions.  Built per command, so the functions are looked up when it
-    runs (perfbench's tracer rebinds these names).
+    EofOptions.  A subcommand's parser takes exactly the options its table
+    reads, in the order they first appear in it.  Built per command, so the
+    functions are looked up when it runs (perfbench's tracer rebinds these
+    names).  A compute function takes the state first.
     """
+    compute = {
+        "pure": (_eof_of_pure, ("cut",)),
+        "density": (_eof_of_density, ("cut", "opts", "dump_ensemble")),
+    }
     question = ("trials", "seed", "slack", "members", "rank", "dims")
     verify = {
         "flagged": (check_flagged_identity, ("samples", "dims", "seed", "tol")),
@@ -238,7 +281,7 @@ def _tables() -> tuple[dict, dict, dict]:
         "random": (_zoo_random, ("seed", "dims", "rank")),
         "random --pure": (_zoo_random, ("seed", "dims", "pure")),
     }
-    return verify, probe, zoo
+    return compute, verify, probe, zoo
 
 
 def _run(table: dict, names, args: argparse.Namespace, subject: str) -> list:
@@ -246,8 +289,7 @@ def _run(table: dict, names, args: argparse.Namespace, subject: str) -> list:
 
     An option set (by flag or --config) that none of them reads is an error,
     which names `subject` as what does not read it."""
-    reads = {name: {o for k in keywords for o in (_SEARCH if k == "opts" else (k,))}
-             for name, (_, keywords) in table.items()}
+    reads = {name: set(_reads(keywords)) for name, (_, keywords) in table.items()}
     unread = set().union(*reads.values()) - set().union(*(reads[n] for n in names))
     unread = sorted(o for o in unread if getattr(args, o) is not None)
     if unread:
@@ -265,7 +307,7 @@ def _run(table: dict, names, args: argparse.Namespace, subject: str) -> list:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    verify, _, _ = _tables()
+    _, verify, _, _ = _tables()
     if args.check == "all" and args.dims is not None:
         raise ValueError("'eof verify all' does not take --dims: flagged and "
                          "strong-concavity read it as a pool of system dimensions, "
@@ -277,14 +319,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    _, probe, _ = _tables()
+    _, _, probe, _ = _tables()
     [result] = _run(probe, (args.relation,), args, f"'eof probe {args.relation}'")
     emit([result], args.format or "json")
     return 1 if result.violation_found else 0
 
 
 def _cmd_zoo(args: argparse.Namespace) -> int:
-    _, _, zoo = _tables()
+    _, _, _, zoo = _tables()
     name = next((key for key in zoo if key.startswith(args.family + " --")
                  and getattr(args, key.split(" --")[1].replace("-", "_"))), args.family)
     [state] = _run(zoo, (name,), args, f"'eof zoo {name}'")
@@ -308,89 +350,53 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         prog="eof",
         description="Entanglement of formation: computation, verification, probes.",
     )
-    parser.add_argument("--config", help="key=value file of option defaults")
-    parser.add_argument("--format", choices=_FORMATS,
-                        help="report format on stdout (default json)")
+
+    def common(p, default):
+        p.add_argument("--config", default=default, help="key=value file of option defaults")
+        p.add_argument("--format", choices=_FORMATS, default=default,
+                       help="report format on stdout (default json)")
+
+    common(parser, None)
     sub = parser.add_subparsers(dest="command", required=True)
-    verify, probe, zoo = _tables()
+    compute, verify, probe, zoo = _tables()
+    commands = {}
 
-    # per subcommand parser: option dest -> its choices (None: any value)
-    config_keys: dict[argparse.ArgumentParser, dict[str, tuple | None]] = {}
-
-    def opt(p, *names, **kw):
-        kw.setdefault("default", None)
-        action = p.add_argument(*names, **kw)
-        config_keys.setdefault(p, {"format": _FORMATS})[action.dest] = action.choices
-
-    def common(p):
+    def subcommand(name, fn, help):
+        p = sub.add_parser(name, help=help)
         # accepted after the subcommand too; SUPPRESS keeps an unset
         # subcommand flag from clobbering a value parsed before it
-        p.add_argument("--config", default=argparse.SUPPRESS)
-        p.add_argument("--format", choices=_FORMATS, default=argparse.SUPPRESS)
+        common(p, argparse.SUPPRESS)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("compute", help="EoF of a saved state across a cut")
-    common(p)
+    def options(p, table) -> dict[str, tuple | None]:
+        """Add the options the table reads; the --config keys, each with
+        its option's choices (None: any value)."""
+        keys = {"format": _FORMATS}
+        for dest in dict.fromkeys(o for _, keywords in table.values() for o in _reads(keywords)):
+            action = p.add_argument("--" + dest.replace("_", "-"), default=None,
+                                    **_OPTIONS[dest])
+            if action.nargs != 0:
+                keys[dest] = action.choices
+        return keys
+
+    p = subcommand("compute", _cmd_compute, "EoF of a saved state across a cut")
     p.add_argument("state", help="state file (pure or density)")
-    opt(p, "--cut", type=_dims_arg, help="left-block subsystem indices, e.g. 0,2")
-    opt(p, "--restarts", type=int)
-    opt(p, "--seed", type=int)
-    opt(p, "--ensemble-size", type=_ensemble_size_arg, dest="ensemble_size")
-    opt(p, "--max-iterations", type=int, dest="max_iterations")
-    opt(p, "--dump-ensemble", dest="dump_ensemble",
-        help="write the best decomposition found to this ensemble file")
-    p.set_defaults(fn=_cmd_compute)
+    commands["compute"] = (p, options(p, compute))
 
-    p = sub.add_parser("verify", help="run a named numerical check")
-    common(p)
+    p = subcommand("verify", _cmd_verify, "run a named numerical check")
     p.add_argument("check", choices=(*verify, "all"))
-    opt(p, "--samples", type=int)
-    opt(p, "--dims", type=_dims_arg)
-    opt(p, "--seed", type=int)
-    opt(p, "--tol", type=float)
-    opt(p, "--slack", type=float)
-    opt(p, "--member-slack", type=float, dest="member_slack")
-    opt(p, "--decomposition-samples", type=int, dest="decomposition_samples")
-    opt(p, "--pairs", type=int)
-    opt(p, "--product-weight", type=float, dest="product_weight")
-    opt(p, "--d", type=int)
-    opt(p, "--restarts", type=int)
-    opt(p, "--ensemble-size", type=_ensemble_size_arg, dest="ensemble_size")
-    opt(p, "--max-iterations", type=int, dest="max_iterations")
-    p.set_defaults(fn=_cmd_verify)
+    commands["verify"] = (p, options(p, verify))
 
-    p = sub.add_parser("probe", help="randomized counterexample search")
-    common(p)
+    p = subcommand("probe", _cmd_probe, "randomized counterexample search")
     p.add_argument("relation", choices=tuple(probe))
-    opt(p, "--trials", type=int)
-    opt(p, "--seed", type=int)
-    opt(p, "--slack", type=float)
-    opt(p, "--source", choices=("random", "case1", "werner"))
-    opt(p, "--phi", type=float)
-    opt(p, "--members", type=int, help="question probes: a floor on members per trial")
-    opt(p, "--rank", type=int)
-    opt(p, "--dims", type=_dims_arg)
-    p.set_defaults(fn=_cmd_probe)
+    commands["probe"] = (p, options(p, probe))
 
-    p = sub.add_parser("zoo", help="write an example state file")
-    common(p)
+    p = subcommand("zoo", _cmd_zoo, "write an example state file")
     p.add_argument("family", choices=tuple(k for k in zoo if " " not in k))
     p.add_argument("--out", required=True, help="output state file")
-    opt(p, "--seed", type=int)
-    opt(p, "--shape", type=_dims_arg, help="case1 weight-matrix shape, e.g. 2,3")
-    # the store_true flags default to None, so that _run sees whether they were given
-    p.add_argument("--uniform", action="store_true", default=None,
-                   help="case1: uniform weights instead of random")
-    opt(p, "--product-weight", type=float, dest="product_weight")
-    opt(p, "--d", type=int)
-    opt(p, "--phi", type=float)
-    p.add_argument("--two-pair", action="store_true", dest="two_pair", default=None,
-                   help="werner: emit the four-party two-pair view")
-    opt(p, "--dims", type=_dims_arg)
-    opt(p, "--rank", type=int)
-    p.add_argument("--pure", action="store_true", default=None,
-                   help="random: pure instead of mixed")
-    p.set_defaults(fn=_cmd_zoo)
-    return parser, {name: (p, config_keys[p]) for name, p in sub.choices.items()}
+    commands["zoo"] = (p, options(p, zoo))
+    return parser, commands
 
 
 def main(argv=None) -> int:

@@ -10,15 +10,15 @@ steps (its reverse-communication routine `setulb`, driven the way
 each round steps every live restart until it asks for f and g, then
 evaluates the pending points that share a member count m in one stacked
 objective call.  That call returns each point's value with its exact
-gradient: a member cost maps the raw (B, D, m) member columns
-sqrt(p_i) psi_i of B restarts to their B values and Wirtinger gradients,
-which are chained back through the polar factor to the parameters.  Every
-step acts on each point alone, and each restart's terms are summed in one
-flat order (`member_sums`), so a restart gets the same bits in any stack
-and takes the steps of a scipy.optimize.minimize call of its own.  Several
-searches of one state with different member costs (the parts of a
-`PartCost`, which values each point under its own part's cost) run as one
-lockstep the same way (`minimize_parts`); one search is a single part.
+gradient: a part cost (`PartCost`) maps the raw (B, D, m) member columns
+sqrt(p_i) psi_i of B restarts, and the part of each, to their B values and
+Wirtinger gradients, which are chained back through the polar factor to
+the parameters.  Every step acts on each point alone, and each restart's
+terms are summed in one flat order (`member_sums`), so a restart gets the
+same bits in any stack and takes the steps of a scipy.optimize.minimize
+call of its own.  `minimize_parts` is the one search: it runs one search
+per listed part of a cost, all in one lockstep, and `eof_minimize` is its
+single part of entanglement entropy across a cut.
 The member kernels return unreduced terms with their gradients: the
 entanglement entropy across a cut (`entropy_terms`, from one eigh of the
 smaller Gram matrix of the reshaped members) and the two-qubit Wootters
@@ -40,8 +40,8 @@ two-qubit closed form, and the decomposition that attains it
 (`wootters_decomposition`), are exact.  The closed form works on a factor X
 of rho = X X^dagger, not on rho: `eof_stack` takes a stack of factors (a
 pure state's reshape across a pair cut, say), so no reduced operator is
-formed and none is eigen-solved, and `eof_wootters_2q` uses a reduced
-state's own factor, or else V sqrt(w) from rho's eigh.
+formed and none is eigen-solved, and `eof_wootters_2q` takes
+V sqrt(w) from rho's eigh (`eof_wootters_stack` on a stack of one).
 """
 
 from __future__ import annotations
@@ -75,10 +75,8 @@ from .qstate import (
 # "auto" ensemble size: min(rank^2, max(AUTO_ENSEMBLE_FLOOR, 2 rank)) members
 AUTO_ENSEMBLE_FLOOR = 16
 
-# raw (B, D, m) member columns of B searches -> (values (B,), dF/d conj(raw))
-MemberCost = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-# the same for searches of several parts, each point valued by its own part's
-# cost: (raw (B, D, m), parts (B,)) -> (values (B,), dF/d conj(raw))
+# raw (B, D, m) member columns of B searches, each point valued by its own
+# part's cost: (raw (B, D, m), parts (B,)) -> (values (B,), dF/d conj(raw))
 PartCost = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
@@ -175,21 +173,17 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
         raise ValueError(f"two-qubit closed form needs dims (2, 2), got {rho.dims}")
 
 
-def _two_qubit_factor(rho: DensityMatrix) -> np.ndarray:
-    """A factor of a two-qubit rho, as a stack of one: its own `factor`
-    (a pure state's reshape), else V sqrt(w) from its eigh."""
-    _require_two_qubits(rho)
-    return rho.factor[None] if rho.factor is not None else _density_factors(rho.mat[None])
-
-
 def concurrence_2q(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence of rho, from a factor of it (`concurrence_factors`)."""
-    return float(concurrence_factors(_two_qubit_factor(rho))[0])
+    """Two-qubit concurrence of rho, from the factor V sqrt(w) of its eigh
+    (`concurrence_factors`)."""
+    _require_two_qubits(rho)
+    return float(concurrence_factors(_density_factors(rho.mat[None]))[0])
 
 
 def eof_wootters_2q(rho: DensityMatrix) -> float:
     """Exact two-qubit EoF via the concurrence closed form."""
-    return float(_wootters_eof(_two_qubit_factor(rho))[0])
+    _require_two_qubits(rho)
+    return float(eof_wootters_stack(rho.mat[None])[0])
 
 
 def _takagi(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,9 +343,9 @@ def wootters_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p * e, grad
 
 
-def cut_member_cost(dims: Sequence[int], cuts: Sequence, kernel=entropy_terms) -> MemberCost:
-    """Member cost: the sum over the cuts of `kernel`'s terms for each member
-    reshaped across the cut.
+def cut_member_cost(dims: Sequence[int], cuts: Sequence, kernel=entropy_terms) -> PartCost:
+    """Part cost that values every part the same way: the sum over the cuts
+    of `kernel`'s terms for each member reshaped across the cut.
 
     The cuts must split `dims` into blocks of one shape, so that the members
     reshaped across every cut go to `kernel` as one
@@ -359,7 +353,7 @@ def cut_member_cost(dims: Sequence[int], cuts: Sequence, kernel=entropy_terms) -
     terms are added in that flat order (`member_sums`).  The returned cost
     maps the raw (B, D, m) member columns sqrt(p_i) psi_i of B searches, in
     the native subsystem order of `dims`, to (values (B,), dF/d conj(raw));
-    it takes any leading shape in place of B.
+    it takes any leading shape in place of B, and does not read the parts.
     """
     splits = [cut_permutation(dims, cut) for cut in cuts]
     shapes = {split[1:] for split in splits}
@@ -372,7 +366,7 @@ def cut_member_cost(dims: Sequence[int], cuts: Sequence, kernel=entropy_terms) -
     # flat positions in a member's k permuted copies of each native index
     back = np.argsort(perms, axis=1) + size * np.arange(k)[:, None]
 
-    def cost(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def cost(raw: np.ndarray, parts) -> tuple[np.ndarray, np.ndarray]:
         *lead, _, m = raw.shape
         members = np.swapaxes(raw, -1, -2)[..., perms]          # (..., m, k, D)
         terms, g = kernel(members.reshape(*lead, m * k, d_left, d_right))
@@ -389,8 +383,8 @@ class EofOptions:
     ensemble_size "auto" resolves to min(rank^2, max(16, 2 rank)): all of
     rank^2 up to rank 4, 16 from rank 4 to 8, and 2 rank above that, so the
     search can always add members to the eigen-ensemble once rank > 1.
-    No option selects how gradients are taken: every member cost supplies
-    its own exact gradient (see minimize_over_decompositions).
+    No option selects how gradients are taken: every part cost supplies
+    its own exact gradient (see minimize_parts).
     """
 
     restarts: int = 20
@@ -496,7 +490,7 @@ class _DecompositionObjective:
         y, inv_root, _, _ = self._polar(x)
         return y @ inv_root
 
-    def __call__(self, x: np.ndarray, parts=0) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, x: np.ndarray, parts) -> tuple[np.ndarray, np.ndarray]:
         """Objective values and their gradients at a stack of parameter vectors
         of the given parts."""
         y, inv_root, root, w = self._polar(x)
@@ -644,67 +638,34 @@ def _search_starts(rho: DensityMatrix, rank: int, opts: EofOptions,
     return starts
 
 
-def _one_part(dims: Sequence[int], cut, member_cost: MemberCost | None) -> PartCost:
-    """The part cost of a single search: member_cost, or entanglement entropy
-    across `cut` if None, for every point."""
-    cost = member_cost if member_cost is not None else cut_member_cost(dims, [tuple(cut)])
-    return lambda raw, parts: cost(raw)
-
-
-def minimize_over_decompositions(
-    rho: DensityMatrix,
-    cut,
-    opts: EofOptions | None = None,
-    member_cost: MemberCost | None = None,
-    warm_starts: Sequence[Ensemble] = (),
-) -> EofEstimate:
-    """Minimize sum_i p_i cost(psi_i) over decompositions of rho.
-
-    member_cost None means the default cost, entanglement entropy across
-    `cut` (`cut_member_cost(rho.dims, [cut])`).  A custom member_cost
-    receives the raw (B, D, m) member columns v_i = sqrt(p_i) psi_i of B
-    restarts at once, in the state's native subsystem order, and returns
-    each restart's value sum_i p_i c(psi_i), shape (B,), with its Wirtinger
-    gradient dF/d conj(v), shape (B, D, m); `cut_member_cost` builds such
-    costs from `entropy_terms` and `wootters_terms`.  The gradient is
-    chained through the polar factor to the parameters, so one stacked
-    objective call calls the member cost once.
-
-    Each start runs at its own member count m, read from its parameter
-    vector: the eigen start at rank, a warm start at its member count, and
-    the random restarts at `resolve_ensemble_size` (which floors m at the
-    warm starts' sizes).  Zero rows added to a start would get a zero
-    gradient and never move, so leaving them out keeps every restart the
-    same search.  All restarts run in lockstep (`_lockstep_lbfgsb`), each
-    on scipy's L-BFGS-B steps.  This is `minimize_parts` with one part.
-    """
-    [estimate] = minimize_parts(rho, _one_part(rho.dims, cut, member_cost), 1, opts,
-                                warm_starts)
-    return estimate
-
-
-def minimize_parts(rho: DensityMatrix, cost: PartCost, parts: int,
+def minimize_parts(rho: DensityMatrix, cost: PartCost, parts: Sequence[int],
                    opts: EofOptions | None = None,
                    warm_starts: Sequence[Ensemble] = ()) -> list[EofEstimate]:
-    """One search over decompositions of rho for each of `parts` member
-    costs, all run in one lockstep.
+    """Minimize sum_i p_i c_k(psi_i) over decompositions of rho for each
+    listed part k of `cost`, all in one lockstep; one estimate per part, in
+    the order of `parts`.
 
-    `cost` values each point under the cost of its part, 0 to parts - 1
-    (see `PartCost`).  Every part runs the starts a search of its own would
-    run (`minimize_over_decompositions`), and the restarts of all parts
-    share the lockstep rounds: a round makes one objective call per member
-    count, so one call of `cost` serves the pending points of every part.
-    A point's value and gradient do not depend on the points beside it, so
-    part k's estimate is, bit for bit, that of
-    `minimize_over_decompositions` with part k's cost alone.
+    `cost` is a `PartCost`: it gets the raw (B, D, m) member columns
+    v_i = sqrt(p_i) psi_i of B restarts, in the state's native subsystem
+    order, with each restart's part, and returns their values (B,) with the
+    Wirtinger gradients dF/d conj(v); `cut_member_cost` builds one from
+    `entropy_terms` or `wootters_terms`.  One stacked objective call calls
+    it once, for the pending points of every part.
+
+    Every part runs the same starts, each at its own member count m: the
+    eigen start at rank, a warm start at its member count, the random
+    restarts at `resolve_ensemble_size`.  No start is padded with zero rows,
+    which would never move.  All restarts run in lockstep
+    (`_lockstep_lbfgsb`), each on scipy's L-BFGS-B steps, and a point's
+    value and gradient do not depend on the points beside it, so part k's
+    estimate is, bit for bit, that of `minimize_parts` with `[k]` alone.
     """
     opts = opts if opts is not None else EofOptions()
     obj = _DecompositionObjective(rho, cost)
     starts = _search_starts(rho, obj.rank, opts, warm_starts)
-    runs = _lockstep_lbfgsb(obj, [(part, x0) for part in range(parts) for _, x0 in starts],
-                            opts)
+    runs = _lockstep_lbfgsb(obj, [(part, x0) for part in parts for _, x0 in starts], opts)
     n = len(starts)
-    return [_estimate(rho, obj, starts, runs[k * n:(k + 1) * n]) for k in range(parts)]
+    return [_estimate(rho, obj, starts, runs[k * n:(k + 1) * n]) for k in range(len(parts))]
 
 
 def _estimate(rho: DensityMatrix, obj: _DecompositionObjective,
@@ -737,8 +698,14 @@ def eof_minimize(
     opts: EofOptions | None = None,
     warm_starts: Sequence[Ensemble] = (),
 ) -> EofEstimate:
-    """Numerical EoF upper bound across the cut via the decomposition search."""
-    return minimize_over_decompositions(rho, cut, opts, None, warm_starts)
+    """Numerical EoF upper bound across the cut: the decomposition search
+    (`minimize_parts`) of entanglement entropy across `cut` as its one part."""
+    return minimize_parts(rho, cut_member_cost(rho.dims, [tuple(cut)]), [0], opts,
+                          warm_starts)[0]
+
+
+# the name perfbench's tracer wraps as its "eof.minimize" span
+minimize_over_decompositions = eof_minimize
 
 
 def eof_stack(factors: np.ndarray, dims: Sequence[int], opts: EofOptions | None = None,

@@ -16,8 +16,8 @@ formed.  A member's values do not depend on the stack it came in, so a run gives
 trials run one by one, and re-evaluating an argmin member alone gives the
 same bits.  Runs longer than a chunk (STACK_BUDGET) are stacked chunk by
 chunk, so memory does not grow with the trial count.  `relation_chain_check`,
-a consistency check of the decomposition search built on custom member
-costs, lives here too: its four searches run as one lockstep
+a consistency check of the decomposition search, lives here too: its four
+searches are the four parts of one part cost, run as one lockstep
 (`minimize_parts`), whose objective calls make one Wootters-kernel call and
 one entropy-kernel call for the points of all four.
 """
@@ -41,7 +41,6 @@ from .ensembles import (
 )
 from .eof import (
     EofOptions,
-    MemberCost,
     PartCost,
     entropy_terms,
     eof_stack,
@@ -608,13 +607,6 @@ def _chain_part_cost() -> PartCost:
 _CHAIN_COST = _chain_part_cost()
 
 
-def _chain_cost(left_eof: bool, right_eof: bool) -> MemberCost:
-    """S_A or E_f(AB), plus S_A' or E_f(A'B'), of members on parties
-    (A, B, A', B'): one part of the chain's four-part cost."""
-    part = [(left, right) for _, left, right in _CHAIN_PARTS].index((left_eof, right_eof))
-    return lambda raw: _CHAIN_COST(raw, np.full(raw.shape[:-2], part))
-
-
 # the relation chain's own search options, used where it is given none
 RELATION_CHAIN_SEARCH = EofOptions(restarts=4, seed=6)
 
@@ -636,7 +628,8 @@ def relation_chain_check(rho_a: DensityMatrix, rho_b: DensityMatrix,
     (`wootters_decomposition`).  Agreement within slack is a sharp
     end-to-end consistency test of the decomposition search.  The four
     searches run in one lockstep (`minimize_parts` on the four-part cost),
-    and each gives, bit for bit, what a search of its own cost would.
+    and each gives, bit for bit, what a search of its own cost would.  The
+    check draws nothing, so its report's seed is None.
     """
     if rho_a.dims != (2, 2) or rho_b.dims != (2, 2):
         raise ShapeError("chain check needs two-qubit factors")
@@ -647,8 +640,8 @@ def relation_chain_check(rho_a: DensityMatrix, rho_b: DensityMatrix,
     ef_b = eof_wootters_2q(rho_b)
     reference = ef_a + ef_b
     warm = [product_ensemble(wootters_decomposition(rho_a), wootters_decomposition(rho_b))]
-    estimates = minimize_parts(tensor(rho_a, rho_b), _CHAIN_COST, len(_CHAIN_PARTS), opts,
-                               warm)
+    estimates = minimize_parts(tensor(rho_a, rho_b), _CHAIN_COST, range(len(_CHAIN_PARTS)),
+                               opts, warm)
     parts = []
     worst = 0.0
     for (label, _, _), est in zip(_CHAIN_PARTS, estimates):
@@ -658,7 +651,7 @@ def relation_chain_check(rho_a: DensityMatrix, rho_b: DensityMatrix,
                       "residual": float(resid)})
     return CheckReport(
         name="relation-chain", semantics="consistency", samples=len(parts),
-        seed=opts.seed, tol=slack, slack=None, min_gap=None,
+        seed=None, tol=slack, slack=None, min_gap=None,
         max_abs_residual=float(worst), passed=worst <= slack,
         per_sample=tuple(parts),
         extra={"reference": float(reference), "eof_a": float(ef_a),

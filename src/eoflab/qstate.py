@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -91,16 +91,10 @@ class DensityMatrix:
 
     Validates Hermiticity, unit trace and positivity (up to 1e-9) on
     construction, so anything carrying this type is safe to feed onward.
-    `factor` is not a constructor argument: only `reduced_state` sets it,
-    to the reshaped state vector X with mat = X X^dagger, so that
-    factor-based kernels (the two-qubit closed form) skip an eigen-solve.
-    It is not compared and not saved, so a reloaded or rebuilt state takes
-    the eigen-solve route, whose bits may differ by about 1e-15.
     """
 
     dims: tuple[int, ...]
     mat: np.ndarray
-    factor: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         dims = check_dims(self.dims)
@@ -212,10 +206,7 @@ def reduced_state(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     if len(keep) == n:
         return psi.to_density()
     x = reduced_factors(psi.vec[None], psi.dims, keep)[0]
-    rho = DensityMatrix(tuple(psi.dims[i] for i in keep), _gram(x))
-    x.setflags(write=False)
-    object.__setattr__(rho, "factor", x)     # mat is X X^dagger by construction
-    return rho
+    return DensityMatrix(tuple(psi.dims[i] for i in keep), _gram(x))
 
 
 def reduced_factors(vecs: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:

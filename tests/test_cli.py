@@ -232,13 +232,27 @@ class TestVerify:
         bare = run(capsys, "verify", *check)
         assert run(capsys, "verify", *check, "--seed", "0") == bare
 
-    def test_search_flag_changes_only_its_own_field(self, capsys):
-        from eoflab.checks import WEAK_ADDITIVITY_SEARCH, check_weak_additivity
-        from eoflab.probes import RELATION_CHAIN_SEARCH
-
-        code, out, _ = run_json(capsys, "verify", "relation-chain", "--restarts", "2")
+    def test_report_names_the_seed_that_drew_its_states(self, capsys):
+        code, out, _ = run_json(capsys, "verify", "relation-chain", "--seed", "3")
         assert code == 0
-        assert out["seed"] == RELATION_CHAIN_SEARCH.seed == 6
+        assert out["seed"] == 3
+
+    def test_search_flag_changes_only_its_own_field(self, capsys):
+        import dataclasses
+
+        from eoflab.checks import WEAK_ADDITIVITY_SEARCH, check_weak_additivity
+        from eoflab.probes import RELATION_CHAIN_SEARCH, relation_chain_check
+        from eoflab.statezoo import random_density_dims
+
+        code, out, _ = run(capsys, "verify", "relation-chain", "--restarts", "2")
+        assert code == 0
+        rng = np.random.default_rng([0, 0])
+        # the two states _relation_chain draws from --seed 0
+        pair = [random_density_dims((2, 2), 2, rng) for _ in range(2)]
+        want = relation_chain_check(*pair, opts=dataclasses.replace(RELATION_CHAIN_SEARCH,
+                                                                    restarts=2))
+        assert want.seed is None
+        assert json.loads(out) == {**want.to_dict(), "seed": 0}
 
         code, out, _ = run(capsys, "verify", "weak-additivity", "--pairs", "2",
                            "--seed", "3", "--restarts", "2")
@@ -409,6 +423,46 @@ def test_bad_tolerance_is_usage_error(capsys, argv, option):
     assert code == 2
     assert out == ""
     assert f"error: {option} must be finite and >= 0" in err
+
+
+_COMMON = {"-h", "--help", "--config", "--format"}
+_FORMAT = {"format": ("json", "csv")}
+# per subcommand: its flags, and its --config keys with their choices
+PARSER = {
+    "compute": (_COMMON | {"--cut", "--dump-ensemble", "--ensemble-size",
+                           "--max-iterations", "--restarts", "--seed"},
+                {**_FORMAT, **dict.fromkeys(["cut", "dump_ensemble", "ensemble_size",
+                                             "max_iterations", "restarts", "seed"])}),
+    "verify": (_COMMON | {"--d", "--decomposition-samples", "--dims", "--ensemble-size",
+                          "--max-iterations", "--member-slack", "--pairs", "--product-weight",
+                          "--restarts", "--samples", "--seed", "--slack", "--tol"},
+               {**_FORMAT, **dict.fromkeys(["d", "decomposition_samples", "dims",
+                                            "ensemble_size", "max_iterations", "member_slack",
+                                            "pairs", "product_weight", "restarts", "samples",
+                                            "seed", "slack", "tol"])}),
+    "probe": (_COMMON | {"--dims", "--members", "--phi", "--rank", "--seed", "--slack",
+                         "--source", "--trials"},
+              {**_FORMAT, **dict.fromkeys(["dims", "members", "phi", "rank", "seed", "slack",
+                                           "trials"]),
+               "source": ("random", "case1", "werner")}),
+    # the store_true variant flags and --out are no --config keys
+    "zoo": (_COMMON | {"--d", "--dims", "--out", "--phi", "--product-weight", "--pure",
+                       "--rank", "--seed", "--shape", "--two-pair", "--uniform"},
+            {**_FORMAT, **dict.fromkeys(["d", "dims", "phi", "product_weight", "rank", "seed",
+                                         "shape"])}),
+}
+
+
+@pytest.mark.parametrize("command", PARSER)
+def test_parser_takes_the_options_its_table_reads(command):
+    from eoflab.cli import _build_parser
+
+    _, commands = _build_parser()
+    assert set(commands) == set(PARSER)
+    sub, keys = commands[command]
+    flags, want_keys = PARSER[command]
+    assert {flag for action in sub._actions for flag in action.option_strings} == flags
+    assert keys == want_keys
 
 
 class TestConfig:

@@ -30,7 +30,14 @@ from eoflab import (
     werner_state,
     wootters_decomposition,
 )
-from eoflab.eof import eof_stack, eof_wootters_stack
+from eoflab.eof import (
+    _DecompositionObjective,
+    cut_member_cost,
+    eof_stack,
+    eof_wootters_stack,
+    minimize_parts,
+)
+from eoflab.probes import _CHAIN_COST, _CHAIN_PARTS
 from eoflab.qmat import ShapeError
 from eoflab.qstate import NormalizationError, reduced_factors, reduced_operators, reduced_state
 from eoflab.statezoo import random_density_dims, random_isometry, random_unitary
@@ -440,11 +447,9 @@ class TestEofMinimize:
 
 class TestGenericObjective:
     def test_custom_member_cost(self):
-        from eoflab.eof import minimize_over_decompositions
-
         rho = two_qubit(40)
 
-        def left_entropy(raw):
+        def left_entropy(raw, parts):
             # same cost as the default path, computed the slow way: restart by
             # restart and member by member, with the gradient -log2(M/p) X
             # from an eigendecomposition
@@ -463,19 +468,32 @@ class TestGenericObjective:
             return value, grad
 
         opts = EofOptions(restarts=3, ensemble_size=6, seed=16)
-        generic = minimize_over_decompositions(rho, [0], opts, member_cost=left_entropy)
+        [generic] = minimize_parts(rho, left_entropy, [0], opts)
         default = eof_minimize(rho, [0], opts)
         assert generic.value == pytest.approx(default.value, abs=1e-6)
 
+    def test_old_search_name_is_eof_minimize(self):
+        # the one search entry point; a member cost goes to minimize_parts
+        from eoflab.eof import minimize_over_decompositions
 
-def _objective(rho, cut, member_cost=None):
-    """The objective minimize_over_decompositions(rho, cut, member_cost=...) runs."""
-    from eoflab.eof import _DecompositionObjective, _one_part
+        assert minimize_over_decompositions is eof_minimize
+        with pytest.raises(TypeError):
+            minimize_over_decompositions(two_qubit(41), (0,), EofOptions(restarts=1),
+                                         member_cost=None)
 
-    return _DecompositionObjective(rho, _one_part(rho.dims, cut, member_cost))
+
+def _entropy_objective(rho, cut=(0,)):
+    """The objective of eof_minimize(rho, cut): entanglement entropy across
+    the cut, which values every part the same way."""
+    return _DecompositionObjective(rho, cut_member_cost(rho.dims, [cut]))
 
 
-def _scipy_restart(obj, x0, opts):
+def _chain_part(left_eof, right_eof):
+    """The index of the relation chain's part with these two sides."""
+    return [(l, r) for _, l, r in _CHAIN_PARTS].index((left_eof, right_eof))
+
+
+def _scipy_restart(obj, x0, opts, part=0):
     """One restart as its own scipy.optimize.minimize call on a stack of one
     point, the way the search ran before its restarts ran in lockstep; the
     lowest value it evaluated is kept as `best`."""
@@ -484,7 +502,7 @@ def _scipy_restart(obj, x0, opts):
     best = [math.inf]
 
     def fun_and_grad(x):
-        values, grads = obj(x[None])
+        values, grads = obj(x[None], part)
         if values[0] < best[0]:
             best[0] = float(values[0])
         return float(values[0]), grads[0]
@@ -496,11 +514,11 @@ def _scipy_restart(obj, x0, opts):
     return res
 
 
-def _difference_gradient(obj, x, h=1e-6):
-    """Parameter-space central differences of the objective value, all
-    2 len(x) points in one stacked call."""
+def _difference_gradient(obj, x, part=0, h=1e-6):
+    """Parameter-space central differences of the objective value at one
+    part, all 2 len(x) points in one stacked call."""
     steps = h * np.eye(x.size)
-    values = obj(np.concatenate([x + steps, x - steps]))[0]
+    values = obj(np.concatenate([x + steps, x - steps]), np.full(2 * x.size, part))[0]
     return (values[:x.size] - values[x.size:]) / (2 * h)
 
 
@@ -518,41 +536,39 @@ class TestObjectiveGradient:
         ((2, 2), 2, 8), ((2, 2), 3, 8), ((2, 3), 3, 9), ((2, 2), 1, 1)])
     def test_entropy_gradient_matches_differences(self, dims, rank, m):
         rho = random_density_dims(dims, rank, [50, rank, m])
-        obj = _objective(rho, (0,))
+        obj = _entropy_objective(rho)
         for x in _gradient_points(m, obj.rank, 51):
-            value, grad = obj(x)
+            value, grad = obj(x, 0)
             assert grad.shape == x.shape
             np.testing.assert_allclose(grad, _difference_gradient(obj, x), rtol=0, atol=1e-6)
 
     def test_entropy_gradient_on_product_pair_cut(self):
         rho = tensor(two_qubit(52, rank=2), two_qubit(53, rank=2))
-        obj = _objective(rho, (0, 2))
+        obj = _entropy_objective(rho, (0, 2))
         for x in _gradient_points(16, obj.rank, 54):
-            np.testing.assert_allclose(obj(x)[1], _difference_gradient(obj, x),
+            np.testing.assert_allclose(obj(x, 0)[1], _difference_gradient(obj, x),
                                        rtol=0, atol=1e-6)
 
     def test_value_is_ensemble_average(self):
         rho = two_qubit(55, rank=3)
-        obj = _objective(rho, (0,))
+        obj = _entropy_objective(rho)
         x = np.random.default_rng(56).standard_normal(2 * 6 * obj.rank)
         e = hjw_ensemble(rho, obj.isometry(x))
-        assert obj(x)[0] == pytest.approx(ensemble_average_entanglement(e, [0]), abs=1e-12)
+        assert obj(x, 0)[0] == pytest.approx(ensemble_average_entanglement(e, [0]), abs=1e-12)
 
     @pytest.mark.parametrize("left_eof, right_eof", [
         (False, False), (False, True), (True, False), (True, True)],
         ids=["entropy+entropy", "entropy+eof", "eof+entropy", "eof+eof"])
     def test_custom_cost_gradient_matches_differences(self, left_eof, right_eof):
-        from eoflab.probes import _chain_cost
-
         rho = tensor(two_qubit(57, rank=2), two_qubit(58, rank=2))
-        obj = _objective(rho, (0, 2), _chain_cost(left_eof, right_eof))
+        obj = _DecompositionObjective(rho, _CHAIN_COST)
+        part = _chain_part(left_eof, right_eof)
         for x in _gradient_points(16, obj.rank, 59):
-            np.testing.assert_allclose(obj(x)[1], _difference_gradient(obj, x),
+            np.testing.assert_allclose(obj(x, part)[1], _difference_gradient(obj, x, part),
                                        rtol=0, atol=1e-6)
 
     def test_eof_cost_at_concurrence_limits(self):
         from eoflab.eof import wootters_terms
-        from eoflab.probes import _chain_cost
 
         bell = BELL.vec
         product = np.kron(random_pure((2,), 63).vec, random_pure((2,), 64).vec)
@@ -560,7 +576,7 @@ class TestObjectiveGradient:
         # both pairs) and Bell x Bell (c = 1 on both), weights 0.3 and 0.7
         raw = np.stack([math.sqrt(0.3) * np.kron(product, product),
                         math.sqrt(0.7) * np.kron(bell, bell)], axis=1)
-        value, grad = _chain_cost(True, True)(raw)
+        value, grad = _CHAIN_COST(raw, _chain_part(True, True))
         assert value == pytest.approx(0.7 * 2.0, abs=1e-12)
         assert np.isfinite(grad).all()
         np.testing.assert_allclose(grad[:, 0], 0.0, rtol=0, atol=1e-12)
@@ -576,31 +592,29 @@ class TestObjectiveGradient:
         np.testing.assert_allclose(grad[1], x[1], rtol=0, atol=1e-12)
 
     def test_member_cost_called_once_per_call(self):
-        from eoflab.probes import _chain_cost
-
         rho = tensor(two_qubit(60, rank=2), two_qubit(61, rank=2))
-        cost = _chain_cost(True, True)
         passed = []
 
-        def counting_cost(raw):
+        def counting_cost(raw, parts):
             passed.append(raw.shape)
-            return cost(raw)
+            return _CHAIN_COST(raw, parts)
 
         m = 16
-        obj = _objective(rho, (0, 2), counting_cost)
-        obj(np.random.default_rng(62).standard_normal((3, 2 * m * obj.rank)))
+        obj = _DecompositionObjective(rho, counting_cost)
+        obj(np.random.default_rng(62).standard_normal((3, 2 * m * obj.rank)),
+            np.full(3, _chain_part(True, True)))
         assert passed == [(3, 16, m)]
 
 
-CHAIN_COSTS = [None, (False, False), (False, True), (True, False), (True, True)]
-CHAIN_IDS = ["default", "entropy+entropy", "entropy+eof", "eof+entropy", "eof+eof"]
+# None for entanglement entropy across the cut, else a relation chain part
+CHAIN_COSTS = [None, *range(len(_CHAIN_PARTS))]
+CHAIN_IDS = ["default", *(label for label, _, _ in _CHAIN_PARTS)]
 
 
-def _member_cost(chain):
-    """None for the default cost, else the relation chain's cost."""
-    from eoflab.probes import _chain_cost
-
-    return None if chain is None else _chain_cost(*chain)
+def _part_cost(dims, cut, chain):
+    """(cost, part) of a search: entanglement entropy across the cut for
+    chain None, else part `chain` of the relation chain's cost."""
+    return (cut_member_cost(dims, [cut]), 0) if chain is None else (_CHAIN_COST, chain)
 
 
 def _svd_entropy_value_grad(x):
@@ -632,25 +646,27 @@ class TestLiveMembers:
 
         rho = tensor(two_qubit([76, seed, 0], rank=ranks[0]),
                      two_qubit([76, seed, 1], rank=ranks[1]))
-        obj = _objective(rho, (0, 2), _member_cost(chain))
+        cost, part = _part_cost(rho.dims, (0, 2), chain)
+        obj = _DecompositionObjective(rho, cost)
         m = obj.rank + len(zero_rows)
         rng = np.random.default_rng([77, seed])
         y = rng.standard_normal((m, obj.rank)) + 1j * rng.standard_normal((m, obj.rank))
         dead = sorted({row % m for row in zero_rows})
         y[dead] = 0.0
-        grad = obj(_pack(y))[1].reshape(2, m, obj.rank)
+        grad = obj(_pack(y), part)[1].reshape(2, m, obj.rank)
         np.testing.assert_array_equal(grad[:, dead], 0.0)
 
     @pytest.mark.parametrize("chain", CHAIN_COSTS, ids=CHAIN_IDS)
     def test_eigen_start_without_zero_rows_takes_the_same_steps(self, chain):
-        from eoflab.eof import _pack, minimize_over_decompositions
+        from eoflab.eof import _pack
 
         rho = tensor(two_qubit(78, rank=2), two_qubit(79, rank=2))
         opts = EofOptions(restarts=1)
-        est = minimize_over_decompositions(rho, (0, 2), opts, _member_cost(chain))
+        cost, part = _part_cost(rho.dims, (0, 2), chain)
+        [est] = minimize_parts(rho, cost, [part], opts)
 
-        obj = _objective(rho, (0, 2), _member_cost(chain))
-        padded = _scipy_restart(obj, _pack(np.eye(16, obj.rank)), opts)
+        obj = _DecompositionObjective(rho, cost)
+        padded = _scipy_restart(obj, _pack(np.eye(16, obj.rank)), opts, part)
         [live] = est.restart_runs
         assert live.members == obj.rank
         assert (live.nit, live.nfev) == (padded.nit, padded.nfev)
@@ -661,19 +677,17 @@ class TestLiveMembers:
         ([(0, 1), (2, 3)], "entropy"), ([(1,), (3,), (0,)], "entropy")],
         ids=["entropy-singles", "wootters-pairs", "entropy-pairs", "entropy-three-cuts"])
     def test_multi_cut_cost_is_the_sum_of_single_cut_costs(self, cuts, kernel):
-        from eoflab.eof import cut_member_cost, entropy_terms, wootters_terms
+        from eoflab.eof import entropy_terms, wootters_terms
 
         terms = entropy_terms if kernel == "entropy" else wootters_terms
         dims = (2, 2, 2, 2)
         raw = np.random.default_rng(80).standard_normal((16, 9, 2)) @ [1.0, 1j]
-        value, grad = cut_member_cost(dims, cuts, terms)(raw)
-        singles = [cut_member_cost(dims, [cut], terms)(raw) for cut in cuts]
+        value, grad = cut_member_cost(dims, cuts, terms)(raw, None)
+        singles = [cut_member_cost(dims, [cut], terms)(raw, None) for cut in cuts]
         assert value == pytest.approx(sum(v for v, _ in singles), abs=1e-12)
         np.testing.assert_allclose(grad, sum(g for _, g in singles), rtol=0, atol=1e-12)
 
     def test_cuts_of_different_shapes_are_refused(self):
-        from eoflab.eof import cut_member_cost
-
         with pytest.raises(ValueError, match="one block shape"):
             cut_member_cost((2, 2, 2, 2), [(0,), (0, 1)])
 
@@ -707,15 +721,16 @@ def _assert_restarts_match_scipy(rho, cut, opts, chain=None, warm_starts=()):
     """Every restart of a lockstep search takes the steps of its own
     scipy.optimize.minimize call: equal (nit, nfev, success) and stop
     message, and its value bit for bit."""
-    from eoflab.eof import _search_starts, minimize_over_decompositions
+    from eoflab.eof import _search_starts
 
-    est = minimize_over_decompositions(rho, cut, opts, _member_cost(chain), warm_starts)
-    obj = _objective(rho, cut, _member_cost(chain))
+    cost, part = _part_cost(rho.dims, cut, chain)
+    [est] = minimize_parts(rho, cost, [part], opts, warm_starts)
+    obj = _DecompositionObjective(rho, cost)
     starts = _search_starts(rho, obj.rank, opts, warm_starts)
     assert len(est.restart_runs) == len(est.restart_values) == len(starts) == est.restarts_used
     best = None
     for (kind, x0), run, value in zip(starts, est.restart_runs, est.restart_values):
-        ref = _scipy_restart(obj, x0, opts)
+        ref = _scipy_restart(obj, x0, opts, part)
         assert (run.start, run.members) == (kind, x0.size // (2 * obj.rank))
         assert (run.nit, run.nfev, run.converged) == (ref.nit, ref.nfev, ref.success)
         assert run.stop == ref.message
@@ -778,7 +793,7 @@ class TestObjectivePolar:
         ((2, 2), 2, 8), ((2, 3), 3, 9), ((2, 2, 2, 2), 4, 16)])
     def test_isometry_is_polar_factor(self, dims, rank, m):
         rho = random_density_dims(dims, rank, [70, m])
-        obj = _objective(rho, (0,))
+        obj = _entropy_objective(rho)
         for x in _gradient_points(m, rank, 71):
             v = obj.isometry(x)
             re, im = x.reshape(2, m, rank)
@@ -791,23 +806,23 @@ class TestObjectivePolar:
 
         rho = two_qubit(72)
         e = hjw_ensemble(rho, random_isometry(6, 4, 73))
-        obj = _objective(rho, (0,))
+        obj = _entropy_objective(rho)
         x = _params_for_ensemble(rho, e)
         back = hjw_ensemble(rho, obj.isometry(x))
         assert len(back) == len(e)
         np.testing.assert_allclose(back.weights, e.weights, rtol=0, atol=1e-12)
         for a, b in zip(back.states, e.states):
             np.testing.assert_allclose(a.vec, b.vec, rtol=0, atol=1e-12)
-        assert obj(x)[0] == pytest.approx(ensemble_average_entanglement(e, [0]), abs=1e-12)
+        assert obj(x, 0)[0] == pytest.approx(ensemble_average_entanglement(e, [0]), abs=1e-12)
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(dims=st.sampled_from([(2, 2), (2, 3)]), rank=st.integers(1, 4),
            extra=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
     def test_chart_mixes_back_and_values_its_ensemble(self, dims, rank, extra, seed):
         rho = random_density_dims(dims, rank, [74, seed])
-        obj = _objective(rho, (0,))
+        obj = _entropy_objective(rho)
         m = rank + extra
         x = np.random.default_rng([75, seed]).standard_normal(2 * m * rank)
         e = hjw_ensemble(rho, obj.isometry(x))
         np.testing.assert_allclose(mix(e).mat, rho.mat, rtol=0, atol=1e-9)
-        assert obj(x)[0] == pytest.approx(ensemble_average_entanglement(e, [0]), abs=1e-10)
+        assert obj(x, 0)[0] == pytest.approx(ensemble_average_entanglement(e, [0]), abs=1e-10)

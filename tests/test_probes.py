@@ -30,7 +30,6 @@ from eoflab import (
     classical_spec,
     eigen_ensemble,
     eof_wootters_2q,
-    minimize_over_decompositions,
     mix,
     pair_superadditivity_gap,
     probe_question1,
@@ -52,8 +51,8 @@ from eoflab import (
 )
 from eoflab.ensembles import hjw_ensemble, support_decomposition
 from eoflab.qmat import ShapeError
-from eoflab.eof import eof_wootters_stack
-from eoflab.qstate import PureState, reduced_operators, reduced_state
+from eoflab.eof import eof_stack, eof_wootters_stack
+from eoflab.qstate import PureState, reduced_factors, reduced_operators, reduced_state
 from eoflab.statezoo import random_density_dims, random_isometry, random_unitary
 
 
@@ -558,6 +557,12 @@ class TestWeakAdditivity:
         assert -1e-10 <= est.value - reference <= 1e-6
 
 
+def _pair_eof(psi, pair):
+    """The closed-form E_f of one pair reduction of a pure state, from its
+    reshape: a one-row `eof_stack`."""
+    return eof_stack(reduced_factors(psi.vec[None], psi.dims, pair), (2, 2))[0][0]
+
+
 class TestSuperadditivityProbe:
     def test_structured_source_never_violates(self):
         res = superadditivity_probe(source="case1", trials=25, seed=0)
@@ -605,8 +610,7 @@ class TestSuperadditivityProbe:
         for psi, (gap, detail) in zip(members, stack):
             assert pair_superadditivity_gap(psi) == [(gap, detail)]
             scalar = (von_neumann_entropy(reduced_state(psi, (0, 2)))
-                      - eof_wootters_2q(reduced_state(psi, (0, 1)))
-                      - eof_wootters_2q(reduced_state(psi, (2, 3))))
+                      - _pair_eof(psi, (0, 1)) - _pair_eof(psi, (2, 3)))
             assert gap == scalar
 
     @settings(derandomize=True, max_examples=25, deadline=None)
@@ -643,7 +647,7 @@ class TestSuperadditivityProbe:
             assert not detail["exact_terms"]
             rho = reduced_state(psi, (2, 3))
             assert detail["eof_a_prime_b_prime"] == eof_minimize(rho, (0,), opts).value
-            assert detail["eof_ab"] == eof_wootters_2q(reduced_state(psi, (0, 1)))
+            assert detail["eof_ab"] == _pair_eof(psi, (0, 1))
 
     def test_stack_needs_one_dims(self):
         with pytest.raises(ShapeError):
@@ -721,31 +725,37 @@ CHAIN_PAIRS = pytest.mark.parametrize("pair", [
 def _assert_chain_matches_separate_searches(pair, opts):
     """The chain's four parts, run as one lockstep, give each part's own
     search bit for bit: every restart's value, (nit, nfev) and stop reason,
-    and the check's report."""
+    and the check's report.  Each part's own search runs the part's cost
+    as `_summed_chain_cost` builds it, apart from `_CHAIN_COST`."""
     from unittest import mock
 
     from eoflab import probes
     from eoflab.eof import minimize_parts
-    from eoflab.probes import _CHAIN_COST, _CHAIN_PARTS, _chain_cost
+    from eoflab.probes import _CHAIN_COST, _CHAIN_PARTS
 
     tau = tensor(*pair)
     warm = [product_ensemble(*(wootters_decomposition(rho) for rho in pair))]
-    merged = minimize_parts(tau, _CHAIN_COST, len(_CHAIN_PARTS), opts, warm)
-    alone = [minimize_over_decompositions(tau, (0, 2), opts, member_cost=_chain_cost(l, r),
-                                          warm_starts=warm)
+    merged = minimize_parts(tau, _CHAIN_COST, range(len(_CHAIN_PARTS)), opts, warm)
+    alone = [minimize_parts(tau, _summed_chain_cost(l, r), [0], opts, warm)[0]
              for _, l, r in _CHAIN_PARTS]
     for est, ref in zip(merged, alone):
-        assert [v.hex() for v in est.restart_values] == [v.hex() for v in ref.restart_values]
-        assert est.restart_runs == ref.restart_runs
-        assert (est.value.hex(), est.iterations, est.converged) == (
-            ref.value.hex(), ref.iterations, ref.converged)
+        _assert_same_search(est, ref)
     report = relation_chain_check(*pair, opts=opts).to_json()
     with mock.patch.object(probes, "minimize_parts", lambda *args: alone):
         assert relation_chain_check(*pair, opts=opts).to_json() == report
 
 
+def _assert_same_search(est, ref):
+    """Two estimates of one search, bit for bit."""
+    assert [v.hex() for v in est.restart_values] == [v.hex() for v in ref.restart_values]
+    assert est.restart_runs == ref.restart_runs
+    assert (est.value.hex(), est.iterations, est.converged) == (
+        ref.value.hex(), ref.iterations, ref.converged)
+
+
 def _summed_chain_cost(left_eof, right_eof):
-    """A chain part's cost as one `cut_member_cost` per kernel, added."""
+    """A chain part's cost as one `cut_member_cost` per kernel, added; a
+    part cost that values every part the same way."""
     from eoflab.eof import cut_member_cost, entropy_terms, wootters_terms
 
     dims = (2, 2, 2, 2)
@@ -755,8 +765,8 @@ def _summed_chain_cost(left_eof, right_eof):
              for cuts, kernel in ((eof_cuts, wootters_terms), (entropy_cuts, entropy_terms))
              if cuts]
 
-    def cost(raw):
-        (value, grad), *rest = (c(raw) for c in costs)
+    def cost(raw, parts):
+        (value, grad), *rest = (c(raw, parts) for c in costs)
         for v, g in rest:
             value, grad = value + v, grad + g
         return value, grad
@@ -771,16 +781,17 @@ class TestRelationChain:
     def test_part_cost_adds_terms_as_cut_member_cost_does(self, left_eof, right_eof):
         # a part's two sides are added in flat (member, side) order where they
         # read one kernel, else as the sum of the two kernels' sums
-        from eoflab.probes import _chain_cost
+        from eoflab.probes import _CHAIN_COST, _CHAIN_PARTS
 
+        part = [(l, r) for _, l, r in _CHAIN_PARTS].index((left_eof, right_eof))
         rng = np.random.default_rng(87)
         product = np.kron(np.kron([1, 0], [0.6, 0.8]), np.kron([0.8, 0.6j], [1, 0]))
         for m in (1, 4, 9, 16):
             raw = rng.standard_normal((3, 16, m, 2)) @ [1.0, 1j]
             raw[1, :, 0] = 0.5 * product            # S = E_f = 0 on both sides
             raw[2, :, -1] = 0.0                      # a member of weight 0
-            got = _chain_cost(left_eof, right_eof)(raw)
-            want = _summed_chain_cost(left_eof, right_eof)(raw)
+            got = _CHAIN_COST(raw, np.full(3, part))
+            want = _summed_chain_cost(left_eof, right_eof)(raw, None)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     @CHAIN_PAIRS
@@ -788,6 +799,18 @@ class TestRelationChain:
     def test_lockstep_parts_match_their_own_searches(self, pair, max_iterations):
         _assert_chain_matches_separate_searches(
             pair, EofOptions(restarts=4, seed=6, max_iterations=max_iterations))
+
+    @CHAIN_PAIRS
+    def test_one_listed_part_is_that_part_of_the_whole_run(self, pair):
+        from eoflab.eof import minimize_parts
+        from eoflab.probes import _CHAIN_COST, _CHAIN_PARTS
+
+        tau = tensor(*pair)
+        warm = [product_ensemble(*(wootters_decomposition(rho) for rho in pair))]
+        opts = EofOptions(restarts=3, seed=6)
+        merged = minimize_parts(tau, _CHAIN_COST, range(len(_CHAIN_PARTS)), opts, warm)
+        for k, est in enumerate(merged):
+            _assert_same_search(minimize_parts(tau, _CHAIN_COST, [k], opts, warm)[0], est)
 
     @settings(derandomize=True, max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), ranks=st.tuples(st.integers(2, 4), st.integers(2, 4)),
@@ -812,16 +835,14 @@ class TestRelationChain:
     def test_cold_searches_reach_the_reference(self, pair):
         # the check's searches start at the exact optimum; run the four costs
         # without that warm start, so the search itself stays under test
-        from eoflab.probes import _chain_cost
+        from eoflab.eof import minimize_parts
+        from eoflab.probes import _CHAIN_COST, _CHAIN_PARTS
 
         reference = sum(eof_wootters_2q(rho) for rho in pair)
-        tau = tensor(*pair)
-        for left_eof in (False, True):
-            for right_eof in (False, True):
-                est = minimize_over_decompositions(
-                    tau, (0, 2), EofOptions(restarts=2, seed=6),
-                    member_cost=_chain_cost(left_eof, right_eof))
-                assert -1e-10 <= est.value - reference <= 1e-4, (left_eof, right_eof)
+        estimates = minimize_parts(tensor(*pair), _CHAIN_COST, range(len(_CHAIN_PARTS)),
+                                   EofOptions(restarts=2, seed=6))
+        for (label, _, _), est in zip(_CHAIN_PARTS, estimates):
+            assert -1e-10 <= est.value - reference <= 1e-4, label
 
     def test_pure_product_factors(self):
         rep = relation_chain_check(
